@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .candidates import CandidateMerger, MergerKind, top_inside_from_ctx, top_outside_nodes
 from .decomposition import truss_decompose
@@ -95,9 +95,10 @@ def _baseline_loop(g: Graph, cfg: RunConfig, make_candidates) -> MergerPlan:
             initial = state.view.tk_size
         cands = make_candidates(cfg, state, rng)
         if not cands:
-            skipped += 1
-            continue
-        sizes = evaluate_candidates(state.view, cands, cfg.threads)
+            # nothing merged, so every later round would see this same graph
+            skipped = cfg.b - rnd
+            break
+        sizes = evaluate_candidates(state.view, cands)
         best, best_size = pick_best(cands, sizes)
         if not cfg.allow_no_op and best_size <= state.view.tk_size:
             break
@@ -152,8 +153,7 @@ def _ne_candidates(cfg: RunConfig, state: RoundState, rng: random.Random) -> lis
         for vo in outside:
             if cfg.filter is not None and not cfg.filter.allows(vi, vo):
                 continue
-            out.append(CandidateMerger(vi, vo, MergerKind.IOM,
-                                       len(ctx.z_set(vi, vo, cfg.literal))))
+            out.append(CandidateMerger(vi, vo, MergerKind.IOM, ctx.z_mask(vi, vo).bit_count()))
     out.sort(key=CandidateMerger.sort_key)
     return out[:cfg.n_c]
 
@@ -172,16 +172,8 @@ def _nt_candidates(cfg: RunConfig, state: RoundState, rng: random.Random) -> lis
     ctx = state.ctx
     inside = top_inside_from_ctx(ctx, cfg.n_i)
     outside = top_outside_nodes(state.pruned, p.inside_neighbors, cfg.n_o)
-    order = sorted(p.inside)
-    pos = {v: i for i, v in enumerate(order)}
-    bm: dict[NodeId, int] = {}
-    for v in inside:
-        bm[v] = _mask(p.inside_neighbors[v], pos)
-    for v in outside:
-        bm[v] = _mask(p.inside_neighbors[v], pos)
-    for v in order:
-        if v not in bm:
-            bm[v] = _mask(p.inside_neighbors[v], pos)
+    m = ctx.masks
+    bm, bit, order = m.nb, m.bit, m.order
 
     def edges_within(mask: int) -> int:
         total = 0
@@ -198,7 +190,7 @@ def _nt_candidates(cfg: RunConfig, state: RoundState, rng: random.Random) -> lis
         v1, v2 = (a, b) if a < b else (b, a)
         if cfg.filter is not None and not cfg.filter.allows(v1, v2):
             continue
-        joint = (bm[v1] | bm[v2]) & ~((1 << pos[v1]) | (1 << pos[v2]))
+        joint = (bm[v1] | bm[v2]) & ~(bit[v1] | bit[v2])
         t12 = (bm[v1] & bm[v2]).bit_count() if v2 in p.inside_neighbors[v1] else 0
         delta = edges_within(joint) - tri_at[v1] - tri_at[v2] + t12
         out.append(CandidateMerger(v1, v2, MergerKind.IIM, delta))
@@ -206,18 +198,11 @@ def _nt_candidates(cfg: RunConfig, state: RoundState, rng: random.Random) -> lis
         for v2 in outside:
             if cfg.filter is not None and not cfg.filter.allows(v1, v2):
                 continue
-            joint = (bm[v1] | bm[v2]) & ~(1 << pos[v1])
+            joint = (bm[v1] | bm[v2]) & ~bit[v1]
             delta = edges_within(joint) - tri_at[v1]
             out.append(CandidateMerger(v1, v2, MergerKind.IOM, delta))
     out.sort(key=CandidateMerger.sort_key)
     return out[:cfg.n_c]
-
-
-def _mask(nodes: set[NodeId], pos: dict[NodeId, int]) -> int:
-    m = 0
-    for w in nodes:
-        m |= 1 << pos[w]
-    return m
 
 
 def baseline_nt(g: Graph, cfg: RunConfig) -> MergerPlan:

@@ -6,26 +6,25 @@ could gain support from the new star edges. Inside-inside mergers (IIM)
 are ranked by a reward/penalty score over edge collisions and shell
 edges whose support the merge would raise or lower.
 
-By default the scores count only changes an actual support recount would
-see. ``literal=True`` switches both scores to looser back-of-envelope
-variants (kept for fidelity experiments): the new-edge set is
-taken against the k-truss neighborhood instead of the (k-1)-truss one,
-already-present edges are not filtered out, and the IIM reward admits
-any shell edge avoiding the common neighborhood.
+Both scores count only changes an actual support recount would see,
+and both are popcounts over per-round integer bitsets. Bit i stands for
+the i-th inside node in id order; every node gets a mask of its inside
+neighbors, and every inside node gets masks of its k-truss, (k-1)-truss
+and shell neighbors. The masks are built the first time a round scores, so
+rounds that never score (random sampling) never pay for them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
+from typing import Iterator, NamedTuple
 
-from .decomposition import TrussDecomposition
+from .decomposition import TrussDecomposition, TrussView
 from .graph import Edge, Graph, NodeId, ParseError, canon
 from .pruning import NodePartition, prune_outside_maximal
-
-_EMPTY: frozenset[NodeId] = frozenset()
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -98,68 +97,94 @@ def load_coordinates(lines) -> dict[str, tuple[float, float]]:
     return out
 
 
+def _bits(m: int) -> Iterator[int]:
+    """Positions of the set bits of m, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+class NodeMasks(NamedTuple):
+    """Integer bitsets over inside-node positions for one round.
+
+    Bit i stands for ``order[i]``, the i-th inside node by id, and
+    ``bit`` maps every node back to its bit (0 when outside). ``nb``
+    masks each node's inside neighbors; ``tk``, ``km1`` and ``sh`` mask
+    its k-truss, (k-1)-truss and shell neighbors.
+    """
+
+    order: list[NodeId]
+    bit: dict[NodeId, int]
+    nb: dict[NodeId, int]
+    tk: dict[NodeId, int]
+    km1: dict[NodeId, int]
+    sh: dict[NodeId, int]
+
+    def nodes(self, m: int) -> set[NodeId]:
+        return {self.order[i] for i in _bits(m)}
+
+
+@dataclass(eq=False)
 class ScoringContext:
     """Per-round neighbor tables shared by all candidate scoring."""
 
-    __slots__ = ("g", "p", "k", "tk_adj", "tkm1_adj", "shell_adj")
-
-    def __init__(self, g: Graph, p: NodePartition, k: int,
-                 tk_adj: dict[NodeId, set[NodeId]],
-                 tkm1_adj: dict[NodeId, set[NodeId]],
-                 shell_adj: dict[NodeId, set[NodeId]]) -> None:
-        self.g = g
-        self.p = p
-        self.k = k
-        self.tk_adj = tk_adj
-        self.tkm1_adj = tkm1_adj
-        self.shell_adj = shell_adj
+    p: NodePartition
+    tk_adj: dict[NodeId, set[NodeId]]
+    tkm1_adj: dict[NodeId, set[NodeId]]
+    _masks: NodeMasks | None = field(default=None, init=False, repr=False)
 
     @classmethod
-    def from_decomposition(cls, g: Graph, d: TrussDecomposition, p: NodePartition, k: int) -> "ScoringContext":
-        tk: dict[NodeId, set[NodeId]] = {}
-        tkm1: dict[NodeId, set[NodeId]] = {}
-        shell: dict[NodeId, set[NodeId]] = {}
-        for (u, v), t in d.edge_trussness.items():
-            if t < k - 1:
-                continue
-            tkm1.setdefault(u, set()).add(v)
-            tkm1.setdefault(v, set()).add(u)
-            target = tk if t >= k else shell
-            target.setdefault(u, set()).add(v)
-            target.setdefault(v, set()).add(u)
-        return cls(g, p, k, tk, tkm1, shell)
+    def from_decomposition(cls, g: Graph, d: TrussDecomposition | None, p: NodePartition,
+                           k: int) -> "ScoringContext":
+        if d is None:
+            raise ValueError("either a decomposition or a scoring context is required")
+        view = TrussView.build(g, d, k)
+        return cls(p, view.tk_adj, view.adj_km1)
 
-    def z_set(self, v1: NodeId, v2: NodeId, literal: bool) -> set[NodeId]:
-        nbrs = self.p.inside_neighbors
-        excl = (self.tk_adj if literal else self.tkm1_adj).get(v1, _EMPTY)
-        z = (nbrs[v1] | nbrs[v2]) - excl
-        z.discard(v1)
-        return z
+    @property
+    def masks(self) -> NodeMasks:
+        """The round's bitsets, built on first use."""
+        if self._masks is None:
+            order = sorted(self.p.inside)
+            bit = dict.fromkeys(self.p.inside_neighbors, 0)
+            bit.update((v, 1 << i) for i, v in enumerate(order))
 
-    def phse_edges(self, v1: NodeId, z: set[NodeId], literal: bool) -> set[Edge]:
-        g = self.g
-        if literal:
-            new = z
-        else:
-            # an edge that already exists cannot raise any support
-            new = z - g.adj[v1]
-        out: set[Edge] = set()
-        if not new:
-            return out
-        shell = self.shell_adj
-        for w in shell.get(v1, _EMPTY):
-            if g.adj[w] & new:
-                out.add(canon(v1, w))
-        reach = new | self.p.inside_neighbors[v1]
-        for x in reach:
-            sx = shell.get(x)
-            if not sx:
-                continue
-            in_new_x = x in new
-            for y in sx:
-                if y > x and y in reach and (in_new_x or y in new):
-                    out.add((x, y))
-        return out
+            def mask(nodes) -> int:
+                return sum(map(bit.__getitem__, nodes))  # distinct bits, so sum is OR
+
+            tk = {v: mask(self.tk_adj.get(v, ())) for v in bit}
+            km1 = {v: mask(self.tkm1_adj.get(v, ())) for v in bit}
+            nb = {v: mask(ns) for v, ns in self.p.inside_neighbors.items()}
+            self._masks = NodeMasks(order, bit, nb, tk, km1, {v: km1[v] & ~tk[v] for v in bit})
+        return self._masks
+
+    def z_mask(self, v1: NodeId, v2: NodeId) -> int:
+        """Z: inside neighbors of either node minus v1 and v1's (k-1)-truss neighbors."""
+        m = self.masks
+        return (m.nb[v1] | m.nb[v2]) & ~(m.km1[v1] | m.bit[v1])
+
+    def phse_edges(self, v1: NodeId, v2: NodeId) -> tuple[int, int]:
+        """(|PHSE|, |Z|): helped shell edges and star size for merging v2 onto v1.
+
+        A new star edge (v1, x) raises the support of shell edges (x, y)
+        with y new or already a neighbor of v1, and of shell edges (v1, w)
+        with w adjacent to x.
+        """
+        m = self.masks
+        z = self.z_mask(v1, v2)
+        n1 = m.nb[v1]
+        # an edge that already exists cannot raise any support
+        new = z & ~n1
+        order, nb, sh = m.order, m.nb, m.sh
+        helped = twice = reach = 0
+        for i in _bits(new):
+            x = order[i]
+            sx = sh[x]
+            helped += (sx & n1).bit_count()
+            twice += (sx & new).bit_count()
+            reach |= nb[x]
+        return helped + twice // 2 + (sh[v1] & reach).bit_count(), z.bit_count()
 
 
 def incident_prospects(p: NodePartition, d: TrussDecomposition, g: Graph, k: int, v: NodeId) -> set[NodeId]:
@@ -172,13 +197,7 @@ def incident_prospects(p: NodePartition, d: TrussDecomposition, g: Graph, k: int
 
 def top_inside_nodes(p: NodePartition, d: TrussDecomposition, g: Graph, k: int, n_i: int) -> list[NodeId]:
     """Inside nodes by descending incident-prospect count, ids break ties."""
-    tr = d.edge_trussness
-    scored = []
-    for v in p.inside:
-        ip = sum(1 for w in p.inside_neighbors[v] if tr.get(canon(v, w), 0) < k)
-        scored.append((-ip, v))
-    scored.sort()
-    return [v for _, v in scored[:n_i]]
+    return top_inside_from_ctx(ScoringContext.from_decomposition(g, d, p, k), n_i)
 
 
 def top_outside_nodes(pruned: set[NodeId], inside_nbrs: dict[NodeId, set[NodeId]], n_o: int) -> list[NodeId]:
@@ -188,85 +207,81 @@ def top_outside_nodes(pruned: set[NodeId], inside_nbrs: dict[NodeId, set[NodeId]
 
 
 def new_inside_neighbors(g: Graph, d: TrussDecomposition, p: NodePartition, k: int,
-                         v_i: NodeId, v_o: NodeId, *, literal: bool = False) -> set[NodeId]:
+                         v_i: NodeId, v_o: NodeId) -> set[NodeId]:
     """Nodes the merged node would newly reach inside the (k-1)-truss.
 
     Z = (inside nbrs of either endpoint) minus v_i and its (k-1)-truss
     edge neighbors; the merge adds the star {(v_i, z) : z in Z}.
     """
-    return ScoringContext.from_decomposition(g, d, p, k).z_set(v_i, v_o, literal)
+    ctx = ScoringContext.from_decomposition(g, d, p, k)
+    return ctx.masks.nodes(ctx.z_mask(v_i, v_o))
 
 
 def phse(g: Graph, d: TrussDecomposition, p: NodePartition, k: int,
-         v_i: NodeId, v_o: NodeId, *, literal: bool = False) -> set[Edge]:
-    """Shell edges whose support rises once the merger's star is added."""
+         v_i: NodeId, v_o: NodeId) -> set[Edge]:
+    """Shell edges whose support rises once the merger's star is added.
+
+    Lists the edges :meth:`ScoringContext.phse_edges` counts.
+    """
     ctx = ScoringContext.from_decomposition(g, d, p, k)
-    return ctx.phse_edges(v_i, ctx.z_set(v_i, v_o, literal), literal)
+    m = ctx.masks
+    new = ctx.z_mask(v_i, v_o) & ~m.nb[v_i]
+    out: set[Edge] = set()
+    for x in m.nodes(new):
+        out.update(canon(x, y) for y in m.nodes(m.sh[x] & (m.nb[v_i] | new)))
+        out.update(canon(v_i, w) for w in m.nodes(m.sh[v_i] & m.nb[x]))
+    return out
 
 
 def iim_score(g: Graph, d: TrussDecomposition, p: NodePartition, k: int,
-              v1: NodeId, v2: NodeId, *, literal: bool = False) -> int:
+              v1: NodeId, v2: NodeId) -> int:
     """Reward/penalty score for merging two inside nodes."""
-    if v1 == v2:
-        raise ValueError("iim_score needs two distinct nodes")
-    for v in (v1, v2):
-        if v not in p.inside:
-            raise ValueError(f"node {v} is not an inside node")
-    return _iim_score(ScoringContext.from_decomposition(g, d, p, k), v1, v2, literal)
+    if v1 == v2 or v1 not in p.inside or v2 not in p.inside:
+        raise ValueError(f"iim_score needs two distinct inside nodes, got {v1} and {v2}")
+    return _iim_score(ScoringContext.from_decomposition(g, d, p, k), v1, v2)
 
 
-def _iim_score(ctx: ScoringContext, v1: NodeId, v2: NodeId, literal: bool) -> int:
-    tk = ctx.tk_adj
-    collisions = len(tk.get(v1, _EMPTY) & tk.get(v2, _EMPTY))
-    n1 = ctx.p.inside_neighbors[v1]
-    n2 = ctx.p.inside_neighbors[v2]
-    union = n1 | n2
-    union.discard(v1)
-    union.discard(v2)
-    shell = ctx.shell_adj
+def _iim_score(ctx: ScoringContext, v1: NodeId, v2: NodeId) -> int:
+    """-collisions + gains - losses, from the round's masks.
+
+    With N1 and N2 the inside neighborhoods less v1 and v2, collisions
+    are common k-truss neighbors, gains are shell edges between N1 - N2
+    and N2 - N1 (they get a brand-new common neighbor), and losses are
+    shell edges inside N1 & N2 (two triangles fold into one).
+    """
+    m = ctx.masks
+    sh = m.sh
+    n1, n2 = m.nb[v1], m.nb[v2]
+    only2 = n2 & ~(n1 | m.bit[v1])
+    both = n1 & n2
+    # the outer walks use the neighbor sets: faster than peeling mask bits
+    s1, s2 = ctx.p.inside_neighbors[v1], ctx.p.inside_neighbors[v2]
+    only1 = s1 - s2
+    only1.discard(v2)
     gains = 0
-    losses = 0
-    for x in union:
-        sx = shell.get(x)
-        if not sx:
-            continue
-        x1 = x in n1
-        x2 = x in n2
-        for y in sx:
-            if y <= x or y not in union:
-                continue
-            y1 = y in n1
-            y2 = y in n2
-            if x1 and x2 and y1 and y2:
-                losses += 1
-            elif literal:
-                if not (x1 and x2) and not (y1 and y2):
-                    gains += 1
-            elif (x1 and not x2 and y2 and not y1) or (x2 and not x1 and y1 and not y2):
-                # only a brand-new common neighbor raises support
-                gains += 1
-    return -collisions + gains - losses
+    for x in only1:
+        gains += (sh[x] & only2).bit_count()
+    twice = 0
+    if both:
+        for x in s1 & s2:
+            twice += (sh[x] & both).bit_count()
+    return gains - twice // 2 - (m.tk[v1] & m.tk[v2]).bit_count()
 
 
 def top_inside_from_ctx(ctx: ScoringContext, n_i: int) -> list[NodeId]:
-    """Same ranking as top_inside_nodes, from prebuilt neighbor tables."""
-    tk = ctx.tk_adj
-    nbrs = ctx.p.inside_neighbors
-    scored = sorted((-len(nbrs[v] - tk.get(v, _EMPTY)), v) for v in ctx.p.inside)
+    """Inside nodes by descending count of non-k-truss inside neighbors, ids break ties."""
+    nb, tk = ctx.masks.nb, ctx.masks.tk
+    scored = sorted((-(nb[v] & ~tk[v]).bit_count(), v) for v in ctx.masks.order)
     return [v for _, v in scored[:n_i]]
 
 
 def find_iom_candidates(g: Graph, d: TrussDecomposition | None, p: NodePartition, k: int,
                         n_i: int, n_o: int, n_c: int,
                         cfilter: ConstraintFilter | None = None, *,
-                        literal: bool = False,
                         pruned: set[NodeId] | None = None,
                         ctx: ScoringContext | None = None) -> list[CandidateMerger]:
     """Top n_c inside-outside mergers from the focused node pools."""
-    if ctx is None:
-        if d is None:
-            raise ValueError("either a decomposition or a scoring context is required")
-        ctx = ScoringContext.from_decomposition(g, d, p, k)
+    ctx = ctx or ScoringContext.from_decomposition(g, d, p, k)
     if pruned is None:
         pruned = prune_outside_maximal(p.outside, p.inside_neighbors)
     inside = top_inside_from_ctx(ctx, n_i)
@@ -276,9 +291,8 @@ def find_iom_candidates(g: Graph, d: TrussDecomposition | None, p: NodePartition
         for vo in outside:
             if cfilter is not None and not cfilter.allows(vi, vo):
                 continue
-            z = ctx.z_set(vi, vo, literal)
-            score = len(ctx.phse_edges(vi, z, literal))
-            out.append(CandidateMerger(vi, vo, MergerKind.IOM, score, len(z)))
+            score, z_size = ctx.phse_edges(vi, vo)
+            out.append(CandidateMerger(vi, vo, MergerKind.IOM, score, z_size))
     out.sort(key=CandidateMerger.sort_key)
     return out[:n_c]
 
@@ -286,19 +300,15 @@ def find_iom_candidates(g: Graph, d: TrussDecomposition | None, p: NodePartition
 def find_iim_candidates(g: Graph, d: TrussDecomposition | None, p: NodePartition, k: int,
                         n_i: int, n_c: int,
                         cfilter: ConstraintFilter | None = None, *,
-                        literal: bool = False,
                         ctx: ScoringContext | None = None) -> list[CandidateMerger]:
     """Top n_c inside-inside mergers among the focused inside nodes."""
-    if ctx is None:
-        if d is None:
-            raise ValueError("either a decomposition or a scoring context is required")
-        ctx = ScoringContext.from_decomposition(g, d, p, k)
+    ctx = ctx or ScoringContext.from_decomposition(g, d, p, k)
     inside = top_inside_from_ctx(ctx, n_i)
     out: list[CandidateMerger] = []
     for a, b in combinations(inside, 2):
         v1, v2 = (a, b) if a < b else (b, a)
         if cfilter is not None and not cfilter.allows(v1, v2):
             continue
-        out.append(CandidateMerger(v1, v2, MergerKind.IIM, _iim_score(ctx, v1, v2, literal)))
+        out.append(CandidateMerger(v1, v2, MergerKind.IIM, _iim_score(ctx, v1, v2)))
     out.sort(key=CandidateMerger.sort_key)
     return out[:n_c]

@@ -114,7 +114,7 @@ def _config_echo(cfg: RunConfig, args) -> dict:
     return {
         "k": cfg.k, "budget": cfg.b, "ni": cfg.n_i, "no": cfg.n_o, "nc": cfg.n_c,
         "method": cfg.method.value, "seed": cfg.seed,
-        "literal_heuristics": cfg.literal, "allow_no_op": cfg.allow_no_op,
+        "allow_no_op": cfg.allow_no_op,
         "coords": getattr(args, "coords", None),
         "dist_threshold": getattr(args, "dist_threshold", None),
     }
@@ -166,8 +166,7 @@ def cmd_maximize(args) -> int:
     cfg = RunConfig(k=args.k, b=args.budget, n_i=args.ni, n_o=args.no, n_c=args.nc,
                     method=Method(args.method), seed=args.seed,
                     filter=_constraint_filter(g, args.coords, args.dist_threshold),
-                    threads=args.threads, literal=args.literal_heuristics,
-                    allow_no_op=args.allow_no_op)
+                    threads=args.threads, allow_no_op=args.allow_no_op)
     cfg.validate()
     start = time.perf_counter()
     plan = run_method(g, cfg)
@@ -213,7 +212,7 @@ def cmd_compare(args) -> int:
             for t in range(trials):
                 cfg = RunConfig(k=k, b=args.budget, n_i=args.ni, n_o=args.no,
                                 n_c=args.nc, method=method, seed=args.seed + t,
-                                threads=args.threads, literal=args.literal_heuristics)
+                                threads=args.threads)
                 start = time.perf_counter()
                 plan = run_method(g, cfg)
                 seconds.append(time.perf_counter() - start)
@@ -229,6 +228,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_robustness_study(args) -> int:
+    if args.rounds < 0:
+        raise ValueError("--rounds must be non-negative")
     if args.dataset:
         if args.k is None:
             raise ValueError("--k is required with --dataset")
@@ -245,6 +246,8 @@ def cmd_robustness_study(args) -> int:
         return 0
     if not (args.model and args.metric and args.op):
         raise ValueError("either --dataset or --model/--metric/--op is required")
+    if args.seeds < 1:
+        raise ValueError("--seeds must be at least 1")
     rows = []
     for s in range(args.seeds):
         seed = args.seed + s
@@ -293,9 +296,8 @@ def _add_run_flags(p: argparse.ArgumentParser, *, with_method: bool = True) -> N
     if with_method:
         p.add_argument("--method", default="BM", choices=[m.value for m in Method])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--literal-heuristics", action="store_true",
-                   help="score with the literal pseudocode variants")
+    p.add_argument("--threads", type=int, default=1,
+                   help="must be >= 1; evaluation runs on one thread, so speed and results never change")
     p.add_argument("--stable-output", action="store_true",
                    help="zero wall-clock fields for byte-comparable output")
     p.add_argument("--out", default=None, help="write output here instead of stdout")

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 import networkx as nx
 import numpy as np
 
-from .graph import Edge, Graph, NodeId, canon
+from .graph import Graph, NodeId
 from .search import Method, MergerPlan, RunConfig, adaptive_search, objective
 
 
@@ -256,20 +256,32 @@ def compute_metrics(g: Graph, metrics: Iterable[MetricId] = tuple(MetricId)) -> 
     return out
 
 
+def _check_model(n: int, p: float) -> None:
+    if n < 0 or not 0.0 <= p <= 1.0:
+        raise ValueError(f"need n >= 0 and p in [0, 1], got n={n}, p={p}")
+
+
 def gen_er(n: int, p: float, seed: int) -> Graph:
     """Seeded uniform random graph; keeps isolated nodes."""
+    _check_model(n, p)
     h = nx.gnp_random_graph(n, p, seed=seed)
     return Graph.from_edges(h.edges(), nodes=range(n))
 
 
 def gen_ws(n: int, k_nbrs: int, p: float, seed: int) -> Graph:
-    """Seeded ring-lattice rewiring model."""
+    """Seeded ring-lattice rewiring model; k_nbrs == n gives the complete graph."""
+    _check_model(n, p)
+    if not 0 <= k_nbrs <= n:
+        raise ValueError(f"k_nbrs must be in [0, n={n}], got {k_nbrs}")
     h = nx.watts_strogatz_graph(n, k_nbrs, p, seed=seed)
     return Graph.from_edges(h.edges(), nodes=range(n))
 
 
 def gen_hk(n: int, m_attach: int, p: float, seed: int) -> Graph:
     """Seeded preferential attachment with triad closure."""
+    _check_model(n, p)
+    if not 1 <= m_attach <= n:
+        raise ValueError(f"m_attach must be in [1, n={n}], got {m_attach}")
     h = nx.powerlaw_cluster_graph(n, m_attach, p, seed=seed)
     return Graph.from_edges(h.edges(), nodes=range(n))
 

@@ -14,10 +14,9 @@ reachable through :func:`run_method`.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .candidates import (CandidateMerger, ConstraintFilter, MergerKind, ScoringContext,
                          find_iim_candidates, find_iom_candidates)
@@ -49,8 +48,7 @@ class RunConfig:
     method: Method = Method.BM
     seed: int = 0
     filter: ConstraintFilter | None = None
-    threads: int = 1
-    literal: bool = False
+    threads: int = 1           # validated only: evaluation runs on one thread
     allow_no_op: bool = True
 
     def __post_init__(self) -> None:
@@ -151,19 +149,12 @@ def build_round_state(work: Graph, k: int) -> RoundState:
     inside_neighbors = {v: ns & inside for v, ns in work.adj.items()}
     p = NodePartition(inside, set(work.adj) - inside, inside_neighbors)
     pruned = prune_outside_maximal(p.outside, p.inside_neighbors)
-    shell_adj: dict[NodeId, set[NodeId]] = {}
-    for u, v in view.shell:
-        shell_adj.setdefault(u, set()).add(v)
-        shell_adj.setdefault(v, set()).add(u)
-    ctx = ScoringContext(work, p, k, view.tk_adj, view.adj_km1, shell_adj)
+    ctx = ScoringContext(p, view.tk_adj, view.adj_km1)
     return RoundState(view, p, pruned, ctx)
 
 
-def evaluate_candidates(view: TrussView, cands: Sequence[CandidateMerger], threads: int = 1) -> list[int]:
-    """Exact post-merger sizes, in candidate order regardless of pool size."""
-    if threads > 1 and len(cands) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda c: view.truss_size_after_merge(c.v1, c.v2), cands))
+def evaluate_candidates(view: TrussView, cands: Sequence[CandidateMerger]) -> list[int]:
+    """Exact post-merger sizes, in candidate order."""
     return [view.truss_size_after_merge(c.v1, c.v2) for c in cands]
 
 
@@ -197,16 +188,16 @@ def adaptive_search(g: Graph, cfg: RunConfig) -> MergerPlan:
         if n_io > 0:
             cands.extend(find_iom_candidates(work, None, state.partition, cfg.k,
                                              cfg.n_i, cfg.n_o, n_io, cfg.filter,
-                                             literal=cfg.literal, pruned=state.pruned,
-                                             ctx=state.ctx))
+                                             pruned=state.pruned, ctx=state.ctx))
         if cfg.n_c - n_io > 0:
             cands.extend(find_iim_candidates(work, None, state.partition, cfg.k,
                                              cfg.n_i, cfg.n_c - n_io, cfg.filter,
-                                             literal=cfg.literal, ctx=state.ctx))
+                                             ctx=state.ctx))
         if not cands:
-            skipped += 1
-            continue
-        sizes = evaluate_candidates(state.view, cands, cfg.threads)
+            # nothing merged, so every later round would see this same graph
+            skipped = cfg.b - rnd
+            break
+        sizes = evaluate_candidates(state.view, cands)
         best, best_size = pick_best(cands, sizes)
         if not cfg.allow_no_op and best_size <= state.view.tk_size:
             break

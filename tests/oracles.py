@@ -120,6 +120,19 @@ def support(edges: set[Edge], e: Edge) -> int:
     return len(adj[e[0]] & adj[e[1]])
 
 
+def z_set_oracle(edges: set[Edge], k: int, v1: int, v2: int) -> set[int]:
+    """Inside neighbors of either node, minus v1 and its (k-1)-truss
+    neighbors: the far ends of the star edges an IOM merger adds."""
+    km1 = peel_k_truss(edges, k - 1)
+    inside = {v for e in km1 for v in e}
+    adj: dict[int, set[int]] = defaultdict(set)
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    km1_nbrs_v1 = {u for e in km1 if v1 in e for u in e if u != v1}
+    return ((adj[v1] | adj[v2]) & inside) - km1_nbrs_v1 - {v1}
+
+
 def phse_oracle(edges: set[Edge], nodes, k: int, v1: int, v2: int) -> set[Edge]:
     """Shell edges whose support grows after adding (v1, z) for z in Z.
 
@@ -128,17 +141,8 @@ def phse_oracle(edges: set[Edge], nodes, k: int, v1: int, v2: int) -> set[Edge]:
     literal support recount on the augmented edge set.
     """
     km1 = peel_k_truss(edges, k - 1)
-    tk = peel_k_truss(km1, k)
-    shell = km1 - tk
-    inside = {v for e in km1 for v in e}
-    adj: dict[int, set[int]] = defaultdict(set)
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    n1 = adj[v1] & inside
-    n2 = adj[v2] & inside
-    km1_nbrs_v1 = {u for e in km1 if v1 in e for u in e if u != v1}
-    z = (n1 | n2) - km1_nbrs_v1 - {v1}
+    shell = km1 - peel_k_truss(km1, k)
+    z = z_set_oracle(edges, k, v1, v2)
     augmented = set(edges) | {_canon(v1, x) for x in z if x != v1}
     return {e for e in shell if support(augmented, e) > support(edges, e)}
 

@@ -191,3 +191,28 @@ def test_load_coordinates():
         load_coordinates(["a 1 2", "b 3"])
     with pytest.raises(ParseError, match="line 1"):
         load_coordinates(["a one 2"])
+
+
+def test_finder_scores_match_oracles(rng):
+    # the pools take every node, so every pair is scored; a sample of the
+    # returned candidates is checked against the slow recount
+    done = 0
+    while done < 20:
+        n = rng.randint(15, 40)
+        g = Graph.from_edges(gnp_edges(rng, n, rng.uniform(0.15, 0.45)), nodes=range(n))
+        k = rng.randint(3, 6)
+        d = truss_decompose(g)
+        p = partition_nodes(g, d, k)
+        if len(p.inside) < 2:
+            continue
+        edges = g.edge_set()
+        iim = find_iim_candidates(g, d, p, k, n_i=n, n_c=n * n)
+        assert len(iim) == len(p.inside) * (len(p.inside) - 1) // 2
+        for c in rng.sample(iim, min(25, len(iim))):
+            assert c.score == orc.iim_score_oracle(edges, k, c.v1, c.v2), (sorted(edges), k, c)
+        iom = find_iom_candidates(g, d, p, k, n_i=n, n_o=n, n_c=n * n)
+        for c in rng.sample(iom, min(25, len(iom))):
+            assert c.score == len(orc.phse_oracle(edges, g.nodes(), k, c.v1, c.v2)), \
+                (sorted(edges), k, c)
+            assert c.tiebreak == len(orc.z_set_oracle(edges, k, c.v1, c.v2)), (sorted(edges), k, c)
+        done += 1

@@ -169,6 +169,27 @@ def test_robustness_study_requires_a_mode(capsys):
     assert capsys.readouterr().err.startswith("error: DOMAIN")
 
 
+@pytest.mark.parametrize("extra", [
+    ["--model", "ws", "--n", "5", "--k-nbrs", "8"],
+    ["--model", "hk", "--n", "3", "--attach", "5"],
+    ["--model", "hk", "--p", "1.5"],
+    ["--model", "er", "--n", "-3"],
+    ["--model", "er", "--p", "1.5"],
+    ["--model", "er", "--rounds", "-1"],
+    ["--model", "er", "--seeds", "0"],
+])
+def test_robustness_study_rejects_out_of_domain_models(extra, capsys):
+    assert main(["robustness-study", "--metric", "NC", "--op", "merge"] + extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: DOMAIN")
+    assert "Traceback" not in err
+
+
+def test_robustness_study_rejects_negative_rounds_in_dataset_mode(er_file, capsys):
+    assert main(["robustness-study", "--dataset", er_file, "--k", "4", "--rounds", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error: DOMAIN")
+
+
 def test_fixtures_coverage_round_trip(tmp_path, capsys):
     out = tmp_path / "gadget.txt"
     assert main(["fixtures", "coverage", "--sets", "1,2;2,3;3,4", "--k", "4",

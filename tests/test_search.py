@@ -4,6 +4,7 @@ import pytest
 
 from trussmerge import (Graph, Method, MergerKind, RunConfig, adaptive_search,
                         adaptive_update, gen_er, objective, run_method)
+from trussmerge import search
 from trussmerge.search import MergerPlan, MergerStep
 
 from conftest import gnp_edges
@@ -89,12 +90,17 @@ def test_no_op_guard_stops_early():
     assert plan.final_size == 0
 
 
-def test_empty_pool_rounds_are_skipped():
+def test_empty_pool_rounds_are_skipped(monkeypatch):
+    calls = []
+    real = search.build_round_state
+    monkeypatch.setattr(search, "build_round_state", lambda *a: calls.append(a) or real(*a))
     g = Graph.from_edges([e for e in A_EDGES if 8 not in e], nodes=range(8))
     plan = adaptive_search(g, RunConfig(k=4, b=3, n_c=4, method=Method.IO))
     assert plan.steps == ()
     assert plan.skipped_rounds == 3
     assert plan.final_size == plan.initial_size == 11
+    # the graph is unchanged after a skip, so the loop stops building rounds
+    assert len(calls) == 1
 
 
 def test_frozen_adaptation_trace():
