@@ -85,14 +85,14 @@ def _baseline_loop(g: Graph, cfg: RunConfig, make_candidates) -> MergerPlan:
     cfg.validate()
     work = g.copy()
     rng = random.Random(cfg.seed)
-    initial = 0
+    initial, counts = 0, None
     steps: list[MergerStep] = []
     skipped = 0
     for rnd in range(cfg.b):
         t0 = time.perf_counter()
         state = build_round_state(work, cfg.k)
         if rnd == 0:
-            initial = state.view.tk_size
+            initial, counts = state.view.tk_size, state.node_counts()
         cands = make_candidates(cfg, state, rng)
         if not cands:
             # nothing merged, so every later round would see this same graph
@@ -105,7 +105,7 @@ def _baseline_loop(g: Graph, cfg: RunConfig, make_candidates) -> MergerPlan:
         work._merge_inplace(best.v1, best.v2)
         steps.append(MergerStep(best.v1, best.v2, best.kind, best_size, 0,
                                 len(cands), time.perf_counter() - t0))
-    return MergerPlan(cfg.k, initial, tuple(steps), skipped)
+    return MergerPlan(cfg.k, initial, tuple(steps), skipped, counts)
 
 
 def _rd_candidates(cfg: RunConfig, state: RoundState, rng: random.Random) -> list[CandidateMerger]:

@@ -171,7 +171,8 @@ def cmd_maximize(args) -> int:
     start = time.perf_counter()
     plan = run_method(g, cfg)
     total = time.perf_counter() - start
-    state = build_round_state(g, cfg.k)
+    # the exhaustive greedy builds no round state, so it has no counts to carry
+    inside, outside, pruned = plan.node_counts or build_round_state(g, cfg.k).node_counts()
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "trussmerge", "version": __version__},
@@ -182,9 +183,9 @@ def cmd_maximize(args) -> int:
             "nodes": g.node_count,
             "edges": g.edge_count,
             "truss_sizes": {str(cfg.k): plan.initial_size},
-            "inside_nodes": len(state.partition.inside),
-            "outside_nodes": len(state.partition.outside),
-            "pruned_outside_nodes": len(state.pruned),
+            "inside_nodes": inside,
+            "outside_nodes": outside,
+            "pruned_outside_nodes": pruned,
         },
         "plan": _plan_json(g, plan, args.stable_output),
         "timings": {"total_seconds": 0.0 if args.stable_output else total},
@@ -230,6 +231,8 @@ def cmd_compare(args) -> int:
 def cmd_robustness_study(args) -> int:
     if args.rounds < 0:
         raise ValueError("--rounds must be non-negative")
+    if args.betweenness_sources is not None and args.betweenness_sources < 0:
+        raise ValueError("--betweenness-sources must be non-negative")
     if args.dataset:
         if args.k is None:
             raise ValueError("--k is required with --dataset")

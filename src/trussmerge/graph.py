@@ -115,9 +115,6 @@ class Graph:
     def nodes(self) -> list[NodeId]:
         return sorted(self.adj)
 
-    def has_node(self, v: NodeId) -> bool:
-        return v in self.adj
-
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
         return u in self.adj and v in self.adj[u]
 

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, count
 from statistics import StatisticsError, correlation
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import networkx as nx
 import numpy as np
@@ -47,186 +46,151 @@ METRIC_DIRECTION: dict[MetricId, int] = {
 CORE_METRICS = (MetricId.VB, MetricId.EB, MetricId.ER, MetricId.SG, MetricId.NC)
 
 
-def _sample_sources(g: Graph, sources: int | None, seed: int) -> list[NodeId]:
-    nodes = g.nodes()
-    if sources is None or sources >= len(nodes):
-        return nodes
-    return sorted(random.Random(seed).sample(nodes, sources))
+def _sample_rows(n: int, sources: int | None, seed: int) -> list[int] | None:
+    # sampling positions draws the same sources as sampling the sorted ids
+    if not sources or sources >= n:
+        return None
+    return sorted(random.Random(seed).sample(range(n), sources))
+
+
+def _adjacency_matrix(g: Graph) -> np.ndarray:
+    """0/1 float matrix with rows and columns in sorted node-id order."""
+    pos = {v: i for i, v in enumerate(g.nodes())}
+    a = np.zeros((len(pos), len(pos)))
+    if g.edge_count:
+        u, v = np.array([(pos[x], pos[y]) for x, y in g.edges()]).T
+        a[u, v] = a[v, u] = 1.0
+    return a
+
+
+def _distance_sums(a: np.ndarray, rows: Sequence[int] | None = None) -> tuple[int, int]:
+    """(sum of d(s, t), number of pairs) over sources s and the t != s they reach.
+
+    A level-synchronous BFS from every source row at once: one 0/1
+    float32 product per level, exact because no entry exceeds n.
+    """
+    n = len(a)
+    src = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
+    a32 = a.astype(np.float32)
+    reached = np.zeros((len(src), n), dtype=bool)
+    reached[np.arange(len(src)), src] = True
+    frontier = reached
+    total = pairs = 0
+    for depth in count(1):
+        frontier = (frontier.astype(np.float32) @ a32 > 0) & ~reached
+        found = int(np.count_nonzero(frontier))
+        if not found:
+            break
+        total += depth * found
+        pairs += found
+        reached |= frontier
+    return total, pairs
+
+
+def _betweenness(a: np.ndarray, rows: Sequence[int] | None = None) -> tuple[float, float]:
+    # a shortest s-t path has d - 1 inner nodes and d edges, so the
+    # dependencies of source s sum to sum_t (d(s, t) - 1) over nodes and
+    # sum_t d(s, t) over edges; halved, as each pair is seen from both ends
+    n, m = len(a), int(a.sum()) // 2
+    total, pairs = _distance_sums(a, rows)
+    return ((total - pairs) / 2.0 / n) if n else 0.0, (total / 2.0 / m) if m else 0.0
 
 
 def betweenness_profile(g: Graph, sources: Sequence[NodeId] | None = None) -> tuple[float, float]:
-    """(average vertex, average edge) betweenness in one accumulation.
+    """(average vertex, average edge) betweenness from BFS distance sums.
 
-    Exact Brandes sums over the given sources (all nodes when omitted),
-    halved because every unordered pair is seen from both endpoints.
-    Unreachable pairs simply contribute no paths. Nodes are re-indexed
-    to integers so the hot loops run on flat lists; only the two sums
-    are kept because callers only ever consume the averages.
+    Exact over the given sources (all nodes when omitted); unreachable
+    pairs contribute nothing. Only the sums are formed because callers
+    only ever consume the averages.
     """
-    nodes = g.nodes()
-    n = len(nodes)
-    m = g.edge_count
-    if n == 0:
-        return 0.0, 0.0
-    pos = {v: i for i, v in enumerate(nodes)}
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in g.edges():
-        ui, vi = pos[u], pos[v]
-        adj[ui].append(vi)
-        adj[vi].append(ui)
-    total_nb = 0.0
-    total_eb = 0.0
-    dist = [-1] * n
-    sigma = [0] * n
-    delta = [0.0] * n
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for s in (range(n) if sources is None else (pos[v] for v in sources)):
-        stack: list[int] = []
-        touched = [s]
-        dist[s] = 0
-        sigma[s] = 1
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            stack.append(v)
-            dv1 = dist[v] + 1
-            sv = sigma[v]
-            for w in adj[v]:
-                dw = dist[w]
-                if dw < 0:
-                    dist[w] = dw = dv1
-                    q.append(w)
-                    touched.append(w)
-                if dw == dv1:
-                    sigma[w] += sv
-                    preds[w].append(v)
-        while stack:
-            w = stack.pop()
-            dw_delta = delta[w]
-            coeff = (1.0 + dw_delta) / sigma[w]
-            for v in preds[w]:
-                c = sigma[v] * coeff
-                total_eb += c
-                delta[v] += c
-            if w != s:
-                total_nb += dw_delta
-        for v in touched:
-            dist[v] = -1
-            sigma[v] = 0
-            delta[v] = 0.0
-            preds[v].clear()
-    return total_nb / 2.0 / n, (total_eb / 2.0 / m) if m else 0.0
+    pos = {v: i for i, v in enumerate(g.nodes())}
+    return _betweenness(_adjacency_matrix(g), None if sources is None else [pos[v] for v in sources])
 
 
 def avg_vertex_betweenness(g: Graph, *, sources: int | None = None, seed: int = 0) -> float:
     """Mean exact betweenness over nodes; optionally subsample sources."""
-    return betweenness_profile(g, _sample_sources(g, sources, seed) if sources else None)[0]
+    return _betweenness(_adjacency_matrix(g), _sample_rows(g.node_count, sources, seed))[0]
 
 
 def avg_edge_betweenness(g: Graph, *, sources: int | None = None, seed: int = 0) -> float:
     """Mean exact betweenness over edges; optionally subsample sources."""
-    return betweenness_profile(g, _sample_sources(g, sources, seed) if sources else None)[1]
+    return _betweenness(_adjacency_matrix(g), _sample_rows(g.node_count, sources, seed))[1]
 
 
-def _index(g: Graph) -> tuple[list[NodeId], dict[NodeId, int]]:
-    nodes = g.nodes()
-    return nodes, {v: i for i, v in enumerate(nodes)}
-
-
-def _adjacency_matrix(g: Graph) -> np.ndarray:
-    nodes, pos = _index(g)
-    a = np.zeros((len(nodes), len(nodes)))
-    for u, v in g.edges():
-        a[pos[u], pos[v]] = 1.0
-        a[pos[v], pos[u]] = 1.0
-    return a
+def _connected(a: np.ndarray) -> bool:
+    return len(a) <= 1 or _distance_sums(a, [0])[1] == len(a) - 1
 
 
 def is_connected(g: Graph) -> bool:
-    nodes = g.nodes()
-    if len(nodes) <= 1:
-        return True
-    seen = {nodes[0]}
-    q = deque(seen)
-    while q:
-        v = q.popleft()
-        for w in g.adj[v]:
-            if w not in seen:
-                seen.add(w)
-                q.append(w)
-    return len(seen) == len(nodes)
+    return _connected(_adjacency_matrix(g))
+
+
+def _effective_resistance(a: np.ndarray) -> float:
+    if not _connected(a):
+        raise ValueError("effective resistance needs a connected graph")
+    if len(a) <= 1:
+        return 0.0
+    mu = np.linalg.eigvalsh(np.diag(a.sum(axis=1)) - a)
+    return float(len(a) * np.sum(1.0 / mu[1:]))
 
 
 def effective_resistance_total(g: Graph) -> float:
     """Kirchhoff total resistance n * sum(1/mu) over nonzero Laplacian spectrum."""
-    if not is_connected(g):
-        raise ValueError("effective resistance needs a connected graph")
-    n = g.node_count
-    if n <= 1:
+    return _effective_resistance(_adjacency_matrix(g))
+
+
+def _gap(lam: np.ndarray) -> float:
+    return float(lam[-1] - lam[-2]) if len(lam) >= 2 else 0.0
+
+
+def _natural(lam: np.ndarray) -> float:
+    if len(lam) == 0:
         return 0.0
-    a = _adjacency_matrix(g)
-    lap = np.diag(a.sum(axis=1)) - a
-    mu = np.linalg.eigvalsh(lap)
-    return float(n * np.sum(1.0 / mu[1:]))
-
-
-def spectral_gap(g: Graph) -> float:
-    """Difference of the two largest adjacency eigenvalues."""
-    if g.node_count < 2:
-        return 0.0
-    lam = np.linalg.eigvalsh(_adjacency_matrix(g))
-    return float(lam[-1] - lam[-2])
-
-
-def natural_connectivity(g: Graph) -> float:
-    """ln of the average of exp(eigenvalue) over the adjacency spectrum."""
-    if g.node_count == 0:
-        return 0.0
-    lam = np.linalg.eigvalsh(_adjacency_matrix(g))
     top = float(lam[-1])
     return top + math.log(float(np.mean(np.exp(lam - top))))
 
 
+def spectral_gap(g: Graph) -> float:
+    """Difference of the two largest adjacency eigenvalues."""
+    return _gap(np.linalg.eigvalsh(_adjacency_matrix(g)))
+
+
+def natural_connectivity(g: Graph) -> float:
+    """ln of the average of exp(eigenvalue) over the adjacency spectrum."""
+    return _natural(np.linalg.eigvalsh(_adjacency_matrix(g)))
+
+
+def _average_distance(a: np.ndarray) -> float:
+    total, pairs = _distance_sums(a)
+    return total / pairs if pairs else 0.0
+
+
 def average_distance(g: Graph) -> float:
     """Mean shortest-path length over reachable pairs within components."""
-    total = 0
-    pairs = 0
-    for s in g.nodes():
-        dist = {s: 0}
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            for w in g.adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    q.append(w)
-        total += sum(dist.values())
-        pairs += len(dist) - 1
-    return total / pairs if pairs else 0.0
+    return _average_distance(_adjacency_matrix(g))
+
+
+def _transitivity(a: np.ndarray) -> float:
+    deg = a.sum(axis=1)
+    open_paths = float(np.sum(deg * (deg - 1))) / 2
+    return float(((a @ a) * a).sum()) / 2 / open_paths if open_paths else 0.0
 
 
 def transitivity(g: Graph) -> float:
     """Closed two-paths over all two-paths (3 triangles per closure)."""
-    closed = 0
-    for u, v in g.edges():
-        closed += len(g.adj[u] & g.adj[v])
-    open_paths = sum(d * (d - 1) // 2 for d in (len(ns) for ns in g.adj.values()))
-    return closed / open_paths if open_paths else 0.0
+    return _transitivity(_adjacency_matrix(g))
+
+
+def _local_clustering(a: np.ndarray) -> float:
+    # twice the triangles at each node over its ordered neighbour pairs
+    tri, deg = ((a @ a) * a).sum(axis=1), a.sum(axis=1)
+    wedges = deg * (deg - 1)
+    return float(np.sum(tri[wedges > 0] / wedges[wedges > 0])) / max(len(a), 1)
 
 
 def avg_local_clustering(g: Graph) -> float:
     """Mean per-node clustering; nodes of degree < 2 contribute 0."""
-    n = g.node_count
-    if n == 0:
-        return 0.0
-    total = 0.0
-    for v, nbrs in g.adj.items():
-        d = len(nbrs)
-        if d < 2:
-            continue
-        links = sum(len(g.adj[w] & nbrs) for w in nbrs) // 2
-        total += 2.0 * links / (d * (d - 1))
-    return total / n
+    return _local_clustering(_adjacency_matrix(g))
 
 
 METRIC_FUNCS: dict[MetricId, Callable[[Graph], float]] = {
@@ -240,20 +204,45 @@ METRIC_FUNCS: dict[MetricId, Callable[[Graph], float]] = {
     MetricId.LC: avg_local_clustering,
 }
 
+# the same measures on a sorted-id adjacency matrix
+MATRIX_FUNCS: dict[MetricId, Callable[[np.ndarray], float]] = {
+    MetricId.VB: lambda a: _betweenness(a)[0],
+    MetricId.EB: lambda a: _betweenness(a)[1],
+    MetricId.ER: _effective_resistance,
+    MetricId.SG: lambda a: _gap(np.linalg.eigvalsh(a)),
+    MetricId.NC: lambda a: _natural(np.linalg.eigvalsh(a)),
+    MetricId.AD: _average_distance,
+    MetricId.TS: _transitivity,
+    MetricId.LC: _local_clustering,
+}
+
 
 def evaluate_metric(g: Graph, metric: MetricId | str) -> float:
     return METRIC_FUNCS[MetricId(metric)](g)
 
 
-def compute_metrics(g: Graph, metrics: Iterable[MetricId] = tuple(MetricId)) -> dict[str, float | None]:
-    """All requested measures; incomputable ones come back as None."""
+def _measures(a: np.ndarray, metrics: Iterable[MetricId],
+              rows: Sequence[int] | None = None) -> dict[str, float | None]:
+    """Measures of one matrix; VB/EB share a BFS and SG/NC a spectrum."""
+    metrics = [MetricId(m) for m in metrics]
+    shared: dict[MetricId, float] = {}
+    if {MetricId.VB, MetricId.EB} & set(metrics):
+        shared[MetricId.VB], shared[MetricId.EB] = _betweenness(a, rows)
+    if {MetricId.SG, MetricId.NC} & set(metrics):
+        lam = np.linalg.eigvalsh(a)
+        shared[MetricId.SG], shared[MetricId.NC] = _gap(lam), _natural(lam)
     out: dict[str, float | None] = {}
     for m in metrics:
         try:
-            out[m.value] = METRIC_FUNCS[m](g)
+            out[m.value] = shared[m] if m in shared else MATRIX_FUNCS[m](a)
         except ValueError:
             out[m.value] = None
     return out
+
+
+def compute_metrics(g: Graph, metrics: Iterable[MetricId] = tuple(MetricId)) -> dict[str, float | None]:
+    """All requested measures; incomputable ones come back as None."""
+    return _measures(_adjacency_matrix(g), metrics)
 
 
 def _check_model(n: int, p: float) -> None:
@@ -313,46 +302,64 @@ class StudyTrace:
     pearson_r: dict[str, float | None] = field(default_factory=dict)
 
 
+def candidate_matrices(a: np.ndarray, op: str) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(i, j, edited matrix) for every merge pair or absent edge, i < j.
+
+    A merge ORs row and column j into i, clears the diagonal and drops
+    j: exactly the sorted-id matrix of ``Graph.merge`` on those nodes.
+    An addition sets a[i, j] = a[j, i] = 1.
+    """
+    n = len(a)
+    keep = [np.r_[0:j, j + 1:n] for j in range(n)] if op == "merge" else []
+    for i, j in combinations(range(n), 2):
+        if op == "merge":
+            b = a[keep[j]][:, keep[j]]
+            row = np.maximum(b[i], a[j, keep[j]])
+            row[i] = 0.0
+            b[i] = b[:, i] = row
+        elif a[i, j]:
+            continue
+        else:
+            b = a.copy()
+            b[i, j] = b[j, i] = 1.0
+        yield i, j, b
+
+
 def greedy_improve(g: Graph, metric: MetricId | str, op: str, rounds: int,
                    record: Sequence[MetricId] = tuple(MetricId)) -> StudyTrace:
     """Exhaustive greedy on one measure by merging or adding edges.
 
-    Each round evaluates the target measure for every node pair (merge)
-    or every absent edge (add_edge), applies the best candidate even if
-    it does not improve, and records all requested measures. Candidates
-    on which the measure is undefined are skipped.
+    Each round scores the target measure on an edited adjacency matrix
+    for every node pair (merge) or every absent edge (add_edge), applies
+    the best candidate even if it does not improve, and records all
+    requested measures. Candidates on which the measure is undefined are
+    skipped; exact ties go to the first pair in ``combinations`` order.
     """
     metric = MetricId(metric)
     if op not in ("merge", "add_edge"):
         raise ValueError(f"op must be 'merge' or 'add_edge', not {op!r}")
     sign = METRIC_DIRECTION[metric]
+    score = MATRIX_FUNCS[metric]
     work = g.copy()
     rows = [TraceRow("baseline", compute_metrics(work, record))]
     for _ in range(rounds):
-        best = None
-        best_val = None
-        best_graph = None
-        for u, v in combinations(work.nodes(), 2):
-            if op == "merge":
-                cand = work.merge(u, v)
-            else:
-                if work.has_edge(u, v):
-                    continue
-                cand = work.copy()
-                cand._add_edge(u, v)
+        best = best_val = None
+        for i, j, cand in candidate_matrices(_adjacency_matrix(work), op):
             try:
-                val = METRIC_FUNCS[metric](cand)
+                val = score(cand)
             except ValueError:
                 continue
             if best_val is None or sign * val > sign * best_val:
-                best = (u, v)
+                best = (i, j)
                 best_val = val
-                best_graph = cand
         if best is None:
             break
-        u, v = best
+        u, v = (work.nodes()[x] for x in best)
         label = f"{op}({work.label(u)},{work.label(v)})"
-        work = best_graph
+        if op == "merge":
+            work._merge_inplace(u, v)
+        else:
+            work._add_edge(u, v)
         rows.append(TraceRow(label, compute_metrics(work, record)))
     return StudyTrace(tuple(rows))
 
@@ -366,9 +373,9 @@ def correlation_study(g: Graph, k: int, rounds: int, *,
     Runs the search for ``rounds`` mergers (0 records just the baseline
     row), then replays the plan recording VB/EB/ER/SG/NC and the
     measured truss size per step, and correlates each measure series
-    against the size series. Betweenness
-    may subsample that many sources (fixed seed) to keep large graphs
-    tractable; Pearson r is scale-invariant to that choice.
+    against the size series. Betweenness may subsample that many sources
+    (fixed seed) to keep large graphs tractable; Pearson r is
+    scale-invariant to that choice.
     """
     if rounds == 0:
         plan = MergerPlan(k=k, initial_size=objective(g, k).size)
@@ -379,16 +386,8 @@ def correlation_study(g: Graph, k: int, rounds: int, *,
     work = g.copy()
 
     def row(label: str, size: int) -> TraceRow:
-        srcs = _sample_sources(work, betweenness_sources, seed) if betweenness_sources else None
-        vb, eb = betweenness_profile(work, srcs)
-        values: dict[str, float | None] = {MetricId.VB.value: vb, MetricId.EB.value: eb}
-        try:
-            values[MetricId.ER.value] = effective_resistance_total(work)
-        except ValueError:
-            values[MetricId.ER.value] = None
-        values[MetricId.SG.value] = spectral_gap(work)
-        values[MetricId.NC.value] = natural_connectivity(work)
-        return TraceRow(label, values, size)
+        srcs = _sample_rows(work.node_count, betweenness_sources, seed)
+        return TraceRow(label, _measures(_adjacency_matrix(work), CORE_METRICS, srcs), size)
 
     rows = [row("baseline", plan.initial_size)]
     for step in plan.steps:
@@ -398,10 +397,6 @@ def correlation_study(g: Graph, k: int, rounds: int, *,
     sizes = [float(r.truss_size) for r in rows]
     pearson: dict[str, float | None] = {}
     for m in CORE_METRICS:
-        ys = [r.values.get(m.value) for r in rows]
-        paired = [(x, y) for x, y in zip(sizes, ys) if y is not None]
-        if len(paired) < 2:
-            pearson[m.value] = None
-        else:
-            pearson[m.value] = pearson_r([x for x, _ in paired], [y for _, y in paired])
+        paired = [(x, r.values[m.value]) for x, r in zip(sizes, rows) if r.values[m.value] is not None]
+        pearson[m.value] = pearson_r(*zip(*paired)) if len(paired) >= 2 else None
     return StudyTrace(tuple(rows), pearson)

@@ -86,6 +86,8 @@ class MergerPlan:
     initial_size: int
     steps: tuple[MergerStep, ...] = ()
     skipped_rounds: int = 0
+    # inside, outside and pruned outside node counts of round 0
+    node_counts: tuple[int, int, int] | None = None
 
     @property
     def final_size(self) -> int:
@@ -141,6 +143,9 @@ class RoundState:
     pruned: set[NodeId]
     ctx: ScoringContext
 
+    def node_counts(self) -> tuple[int, int, int]:
+        return len(self.partition.inside), len(self.partition.outside), len(self.pruned)
+
 
 def build_round_state(work: Graph, k: int) -> RoundState:
     """Recompute trusses, partition and pruning for the current graph."""
@@ -176,14 +181,14 @@ def adaptive_search(g: Graph, cfg: RunConfig) -> MergerPlan:
     cfg.validate()
     work = g.copy()
     n_io = _initial_n_io(cfg)
-    initial = 0
+    initial, counts = 0, None
     steps: list[MergerStep] = []
     skipped = 0
     for rnd in range(cfg.b):
         t0 = time.perf_counter()
         state = build_round_state(work, cfg.k)
         if rnd == 0:
-            initial = state.view.tk_size
+            initial, counts = state.view.tk_size, state.node_counts()
         cands: list[CandidateMerger] = []
         if n_io > 0:
             cands.extend(find_iom_candidates(work, None, state.partition, cfg.k,
@@ -206,7 +211,7 @@ def adaptive_search(g: Graph, cfg: RunConfig) -> MergerPlan:
                                 len(cands), time.perf_counter() - t0))
         if cfg.method is Method.BM and rnd < cfg.b - 1:
             n_io = adaptive_update(n_io, best.kind, cfg.n_c, cfg.b)
-    return MergerPlan(cfg.k, initial, tuple(steps), skipped)
+    return MergerPlan(cfg.k, initial, tuple(steps), skipped, counts)
 
 
 def run_method(g: Graph, cfg: RunConfig) -> MergerPlan:

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from trussmerge import (FixtureSpec, Graph, Method, RunConfig, gen_er,
+from trussmerge import (FixtureSpec, Graph, Method, RunConfig, TrussView, gen_er,
                         hardness_fixture, nonsubmodularity_witness, objective,
                         run_method)
 from trussmerge.cli import main
@@ -94,6 +94,23 @@ def test_maximize_stable_output_is_byte_identical(graph_a_file, tmp_path):
     assert main(maximize_args(graph_a_file, str(out2))) == 0
     assert main(maximize_args(graph_a_file, str(out8), threads=8)) == 0
     assert out1.read_bytes() == out2.read_bytes() == out8.read_bytes()
+
+
+@pytest.mark.parametrize("method", ["BM", "RD", "NE"])
+def test_maximize_builds_one_view_per_round(graph_a_file, tmp_path, monkeypatch, method):
+    calls = []
+    real = TrussView.compute.__func__
+    monkeypatch.setattr(TrussView, "compute",
+                        classmethod(lambda cls, g, k: calls.append(k) or real(cls, g, k)))
+    out = tmp_path / "report.json"
+    assert main(maximize_args(graph_a_file, str(out), method=method)) == 0
+    report = json.loads(out.read_text())
+    plan = report["plan"]
+    # the report's node counts come from round 0, not from another build;
+    # a skipped round still builds its state before finding no candidates
+    assert len(calls) == len(plan["rounds"]) + (plan["skipped_rounds"] > 0)
+    assert (report["dataset"]["inside_nodes"], report["dataset"]["outside_nodes"],
+            report["dataset"]["pruned_outside_nodes"]) == (8, 1, 1)
 
 
 def test_maximize_trace_csv(graph_a_file, tmp_path):
@@ -188,6 +205,15 @@ def test_robustness_study_rejects_out_of_domain_models(extra, capsys):
 def test_robustness_study_rejects_negative_rounds_in_dataset_mode(er_file, capsys):
     assert main(["robustness-study", "--dataset", er_file, "--k", "4", "--rounds", "-1"]) == 1
     assert capsys.readouterr().err.startswith("error: DOMAIN")
+
+
+@pytest.mark.parametrize("mode", [["--k", "4"], ["--metric", "NC", "--op", "merge", "--model", "er"]])
+def test_robustness_study_rejects_negative_betweenness_sources(er_file, mode, capsys):
+    source = ["--dataset", er_file] if "--k" in mode else []
+    assert main(["robustness-study", *source, *mode, "--betweenness-sources", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: DOMAIN --betweenness-sources")
+    assert "Sample larger" not in err
 
 
 def test_fixtures_coverage_round_trip(tmp_path, capsys):

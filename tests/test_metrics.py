@@ -1,7 +1,11 @@
 """Graph metrics, their oracles, and the merge-vs-metric study helpers."""
 
 import math
+import random
+from itertools import combinations
 
+import networkx as nx
+import numpy as np
 import pytest
 
 from trussmerge import (Graph, MetricId, METRIC_DIRECTION, average_distance,
@@ -12,6 +16,9 @@ from trussmerge import (Graph, MetricId, METRIC_DIRECTION, average_distance,
                         gen_hk, gen_ws, greedy_improve, is_connected,
                         natural_connectivity, pearson_r, spectral_gap,
                         transitivity)
+
+from trussmerge.metrics import (MATRIX_FUNCS, METRIC_FUNCS, _adjacency_matrix,
+                                candidate_matrices)
 
 import oracles as orc
 from conftest import gnp_edges
@@ -52,6 +59,102 @@ def test_betweenness_matches_enumeration_oracle(rng):
         want_eb = sum(eb.values()) / len(edges) if edges else 0.0
         assert avg_vertex_betweenness(g) == pytest.approx(want_vb)
         assert avg_edge_betweenness(g) == pytest.approx(want_eb)
+
+
+def _nx_graph(g: Graph) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(g.nodes())
+    h.add_edges_from(g.edges())
+    return h
+
+
+def _profile_cases(rng):
+    yield Graph(), None
+    yield Graph.from_edges([], nodes=[0]), None
+    yield Graph.from_edges([], nodes=[0, 1]), None
+    yield Graph.from_edges([(0, 1)]), None
+    yield Graph.from_edges([], nodes=range(5)), [1, 3]
+    # two components plus isolated nodes
+    yield Graph.from_edges([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)], nodes=range(8)), None
+    for _ in range(12):
+        n = rng.randint(3, 16)
+        g = Graph.from_edges(gnp_edges(rng, n, rng.uniform(0.05, 0.5)), nodes=range(n))
+        yield g, None
+        yield g, sorted(rng.sample(range(n), rng.randint(1, n)))
+
+
+def test_betweenness_profile_matches_networkx(rng):
+    for g, sources in _profile_cases(rng):
+        h = _nx_graph(g)
+        if sources is None:
+            nb = nx.betweenness_centrality(h, normalized=False)
+            eb = nx.edge_betweenness_centrality(h, normalized=False)
+        else:
+            nodes = list(h)
+            nb = nx.betweenness_centrality_subset(h, sources, nodes, normalized=False)
+            eb = nx.edge_betweenness_centrality_subset(h, sources, nodes, normalized=False)
+        n, m = g.node_count, g.edge_count
+        want = (sum(nb.values()) / n if n else 0.0, sum(eb.values()) / m if m else 0.0)
+        assert betweenness_profile(g, sources) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_distance_measures_match_networkx(rng):
+    for g, _ in _profile_cases(rng):
+        h = _nx_graph(g)
+        lengths = [d for _, ds in nx.all_pairs_shortest_path_length(h) for d in ds.values() if d]
+        want_ad = sum(lengths) / len(lengths) if lengths else 0.0
+        assert average_distance(g) == pytest.approx(want_ad, rel=1e-12)
+        assert transitivity(g) == pytest.approx(nx.transitivity(h), rel=1e-12)
+        want_lc = nx.average_clustering(h) if g.node_count else 0.0
+        assert avg_local_clustering(g) == pytest.approx(want_lc, rel=1e-12)
+        assert is_connected(g) == (g.node_count <= 1 or nx.is_connected(h))
+
+
+def _edited_graph(g: Graph, op: str, u: int, v: int) -> Graph:
+    if op == "merge":
+        return g.merge(u, v)
+    h = g.copy()
+    h._add_edge(u, v)
+    return h
+
+
+@pytest.mark.parametrize("op", ["merge", "add_edge"])
+@pytest.mark.parametrize("n, p, seed", [(9, 0.35, 1), (10, 0.2, 4)])
+def test_candidate_matrices_match_graph_edits(op, n, p, seed):
+    g = gen_er(n, p, seed)
+    nodes = g.nodes()
+    seen = []
+    for i, j, b in candidate_matrices(_adjacency_matrix(g), op):
+        u, v = nodes[i], nodes[j]
+        seen.append((u, v))
+        h = _edited_graph(g, op, u, v)
+        assert np.array_equal(b, _adjacency_matrix(h))
+        for m in MetricId:
+            try:
+                want = METRIC_FUNCS[m](h)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    MATRIX_FUNCS[m](b)
+                continue
+            assert MATRIX_FUNCS[m](b) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    pairs = list(combinations(nodes, 2))
+    if op == "add_edge":
+        pairs = [(u, v) for u, v in pairs if not g.has_edge(u, v)]
+    assert seen == pairs
+
+
+def test_greedy_exact_ties_go_to_first_pair():
+    c6 = Graph.from_edges([(i, (i + 1) % 6) for i in range(6)])
+    values = {}
+    for u, v in combinations(c6.nodes(), 2):
+        if not c6.has_edge(u, v):
+            values[(u, v)] = avg_vertex_betweenness(_edited_graph(c6, "add_edge", u, v))
+    best = min(values.values())
+    tied = [pair for pair, val in values.items() if val == best]
+    assert len(tied) >= 2
+    trace = greedy_improve(c6, MetricId.VB, "add_edge", 1)
+    assert trace.rows[1].operation == "add_edge({},{})".format(*tied[0])
+    assert trace.rows[1].values[MetricId.VB.value] == best
 
 
 def test_effective_resistance_matches_pinv_oracle(rng):
@@ -121,8 +224,6 @@ def test_source_subsampling_is_seeded():
 
 
 def _sample(g, count, seed):
-    import random
-
     return sorted(random.Random(seed).sample(sorted(g.adj), count))
 
 
