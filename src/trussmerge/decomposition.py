@@ -4,13 +4,24 @@ The k-truss of a graph is the maximal subgraph in which every edge closes
 at least k-2 triangles. Edge trussness t(e) is the largest k whose k-truss
 contains e (floor 2). ``post_merger_truss_size`` evaluates how large the
 k-truss becomes after merging a node pair without rebuilding the whole
-graph: only the (k-1)-truss plus the merged node's star can matter.
+graph: only the (k-1)-truss R, with the pair's edges replaced by the
+merged node's star (call it R'), can matter.
+
+Evaluation lifts shell edges (R minus the k-truss T_k) in the order ``pos``
+in which peeling R removed them, then peels H = T_k + star + lifted. It is
+exact: let f be the earliest shell edge of the new k-truss T' left unlifted.
+Popped, f would pass the lift test, so it never was: it has no star
+triangle (those seed the heap) and no T' triangle with a lifted edge (one
+is fresh at its earliest lifted edge, which pushes f). So its k-2 T'
+triangles are old, with T_k or later shell edges, and the peel could not
+have removed f. Hence T' <= H <= R', and the k-truss of H is T'.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import Edge, Graph, NodeId, canon
 
@@ -33,60 +44,15 @@ class CoreDecomposition:
 
 
 def truss_decompose(g: Graph) -> TrussDecomposition:
-    """Peel edges in increasing support order, recording trussness.
-
-    Bucket queue over support values; ties fall to canonical edge order.
-    Trussness = support at removal time + 2, monotonized so levels never
-    decrease as peeling proceeds.
-    """
-    edges = list(g.edges())
-    m = len(edges)
-    if m == 0:
-        return TrussDecomposition({}, 2)
-    eid = {e: i for i, e in enumerate(edges)}
+    """Peel to the 3-truss, the 4-truss, ...; edges that fall at level k have trussness k-1."""
     adj = {v: set(ns) for v, ns in g.adj.items()}
-    sup = [0] * m
-    for i, (u, v) in enumerate(edges):
-        sup[i] = len(adj[u] & adj[v])
-    max_sup = max(sup)
-    bins: list[list[int]] = [[] for _ in range(max_sup + 1)]
-    for i in range(m):
-        bins[sup[i]].append(i)
-    heads = [0] * (max_sup + 1)
-    removed = [False] * m
-    tvals = [0] * m
-    cur = 0
-    level = 2
-    processed = 0
-    while processed < m:
-        while heads[cur] >= len(bins[cur]):
-            cur += 1
-        bucket = bins[cur]
-        i = bucket[heads[cur]]
-        heads[cur] += 1
-        if removed[i] or sup[i] != cur:
-            continue
-        if cur + 2 > level:
-            level = cur + 2
-        tvals[i] = level
-        removed[i] = True
-        processed += 1
-        u, v = edges[i]
-        adj[u].discard(v)
-        adj[v].discard(u)
-        au, av = adj[u], adj[v]
-        if len(av) < len(au):
-            au, av = av, au
-        for w in au:
-            if w in av:
-                for f in ((u, w) if u < w else (w, u), (v, w) if v < w else (w, v)):
-                    j = eid[f]
-                    # supports are floored at the current peel level
-                    if not removed[j] and sup[j] > cur:
-                        s = sup[j] - 1
-                        sup[j] = s
-                        bins[s].append(j)
-    return TrussDecomposition({edges[i]: tvals[i] for i in range(m)}, level)
+    sup = _supports(g.adj)
+    trussness: dict[Edge, int] = {}
+    k = 2
+    while sup:
+        k += 1
+        trussness.update(dict.fromkeys(_peel(adj, sup, k), k - 1))
+    return TrussDecomposition({e: trussness[e] for e in g.edges()}, max(k - 1, 2))
 
 
 def k_truss_edges(d: TrussDecomposition, k: int) -> set[Edge]:
@@ -129,8 +95,6 @@ def truss_subgraph(g: Graph, d: TrussDecomposition, k: int) -> Graph:
 
 def core_decompose(g: Graph) -> CoreDecomposition:
     """Standard degree peeling; deterministic by (degree, node id)."""
-    import heapq
-
     deg = {v: len(ns) for v, ns in g.adj.items()}
     alive = {v: set(ns) for v, ns in g.adj.items()}
     heap = [(d, v) for v, d in deg.items()]
@@ -152,19 +116,26 @@ def core_decompose(g: Graph) -> CoreDecomposition:
     return CoreDecomposition(coreness)
 
 
-def _cascade_truss_size(adj: dict[NodeId, set[NodeId]], sup: dict[Edge, int], k: int) -> int:
-    """Peel edges with support < k-2 to the fixpoint; returns |E| left.
+def _supports(adj: dict[NodeId, set[NodeId]]) -> dict[Edge, int]:
+    """Triangle count of every edge."""
+    return {(u, v): len(ns & adj[v]) for u, ns in adj.items() for v in ns if u < v}
 
-    Mutates both arguments. The fixpoint is the k-truss of the input
-    graph regardless of removal order.
+
+def _peel(adj: dict[NodeId, set[NodeId]], sup: dict[Edge, int], k: int) -> list[Edge]:
+    """Remove edges with support < k-2 until none is left; returns them in removal order.
+
+    Mutates both arguments; ``sup`` keeps the surviving edges. The fixpoint
+    is the k-truss of the input graph regardless of removal order. Only the
+    edges keyed in ``sup`` itself can start below the threshold, so a
+    ``_Lazy`` overlay on k-truss supports need hold only the changed ones.
     """
-    thresh = k - 2
-    queue = deque(e for e, s in sup.items() if s < thresh)
+    below = k - 3
+    queue = deque(e for e, s in sup.items() if s <= below)
+    peeled: list[Edge] = []
     while queue:
-        e = queue.popleft()
-        if e not in sup:
-            continue
+        e = queue.popleft()  # queued once: when first below the threshold
         del sup[e]
+        peeled.append(e)
         x, y = e
         ax, ay = adj[x], adj[y]
         ax.discard(y)
@@ -174,134 +145,159 @@ def _cascade_truss_size(adj: dict[NodeId, set[NodeId]], sup: dict[Edge, int], k:
         for w in ax:
             if w in ay:
                 for f in ((x, w) if x < w else (w, x), (y, w) if y < w else (w, y)):
-                    s = sup.get(f)
-                    if s is not None:
-                        sup[f] = s - 1
-                        if s - 1 < thresh:
-                            queue.append(f)
-    return len(sup)
+                    s = sup[f] - 1
+                    sup[f] = s
+                    if s == below:
+                        queue.append(f)
+    return peeled
+
+
+class _Lazy(dict):
+    """A dict that fills a missing key from ``make(key)`` on first read."""
+
+    def __init__(self, make) -> None:
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 @dataclass
 class TrussView:
     """Frozen per-(graph, k) state behind fast post-merger evaluation.
 
-    Holds the (k-1)-truss adjacency and per-edge supports so each merger
-    costs one corrected-support scan plus a cascade, instead of a
-    decomposition of the whole merged graph. Build once, evaluate many.
+    Holds the (k-1)-truss adjacency, the k-truss adjacency with each edge's
+    support inside the k-truss, and the position at which peeling the
+    (k-1)-truss down to the k-truss removed each shell edge. Build once,
+    evaluate many; evaluation never writes into these fields.
     """
 
     g: Graph
     k: int
     nodes_km1: set[NodeId]
     adj_km1: dict[NodeId, set[NodeId]]
-    sup_km1: dict[Edge, int]
     tk_size: int
-    shell: set[Edge] = field(default_factory=set)
-    tk_adj: dict[NodeId, set[NodeId]] = field(default_factory=dict)
+    tk_adj: dict[NodeId, set[NodeId]]
+    sup_tk: dict[Edge, int]
+    pos: dict[Edge, int]
+
+    @property
+    def shell(self) -> set[Edge]:
+        """Edges of the (k-1)-truss that fall outside the k-truss."""
+        return set(self.pos)
 
     @classmethod
     def build(cls, g: Graph, d: TrussDecomposition, k: int) -> "TrussView":
-        if k < 3:
-            raise ValueError("k must be at least 3")
-        adj_km1: dict[NodeId, set[NodeId]] = {}
-        tk_adj: dict[NodeId, set[NodeId]] = {}
-        tk_size = 0
-        shell: set[Edge] = set()
-        for e, t in d.edge_trussness.items():
-            if t < k - 1:
-                continue
-            u, v = e
-            adj_km1.setdefault(u, set()).add(v)
-            adj_km1.setdefault(v, set()).add(u)
-            if t >= k:
-                tk_size += 1
-                tk_adj.setdefault(u, set()).add(v)
-                tk_adj.setdefault(v, set()).add(u)
-            else:
-                shell.add(e)
-        sup_km1: dict[Edge, int] = {}
-        for u, ns in adj_km1.items():
-            for v in ns:
-                if u < v:
-                    sup_km1[(u, v)] = len(ns & adj_km1[v])
-        return cls(g, k, set(adj_km1), adj_km1, sup_km1, tk_size, shell, tk_adj)
+        """Same view as :meth:`compute`; the decomposition is not needed."""
+        return cls.compute(g, k)
 
     @classmethod
     def compute(cls, g: Graph, k: int) -> "TrussView":
-        """Build directly by peeling, skipping the full decomposition.
+        """Peel the graph to its (k-1)-truss, then once more to its k-truss.
 
-        Cascading to the (k-1)-truss and then once more to the k-truss
-        reaches the same unique fixpoints the trussness map would give,
-        but only touches edges that actually fall out.
+        Both peels reach the unique fixpoints the trussness map would give
+        but only touch edges that actually fall out. The second peel's
+        removal order is the shell edges' ``pos``.
         """
         if k < 3:
             raise ValueError("k must be at least 3")
         adj = {v: set(ns) for v, ns in g.adj.items()}
-        sup: dict[Edge, int] = {}
-        for u, ns in g.adj.items():
-            for v in ns:
-                if u < v:
-                    sup[(u, v)] = len(ns & g.adj[v])
-        _cascade_truss_size(adj, sup, k - 1)
+        sup = _supports(g.adj)
+        _peel(adj, sup, k - 1)
         adj_km1 = {v: ns for v, ns in adj.items() if ns}
         tk_adj = {v: set(ns) for v, ns in adj_km1.items()}
-        sup_k = dict(sup)
-        tk_size = _cascade_truss_size(tk_adj, sup_k, k)
+        shell = _peel(tk_adj, sup, k)
         tk_adj = {v: ns for v, ns in tk_adj.items() if ns}
-        shell = {e for e in sup if e not in sup_k}
-        return cls(g, k, set(adj_km1), adj_km1, sup, tk_size, shell, tk_adj)
+        pos = {e: i for i, e in enumerate(shell)}
+        return cls(g, k, set(adj_km1), adj_km1, len(sup), tk_adj, sup, pos)
 
     def truss_size_after_merge(self, v1: NodeId, v2: NodeId) -> int:
         """|E(T_k)| of the graph with v2 merged into v1.
 
-        Works on the restricted graph: (k-1)-truss edges away from the
-        pair keep their support up to three unit corrections, and the
-        merged node contributes a star into the (k-1)-truss node set.
+        Lifts the shell edges the merge can carry into the new k-truss (see
+        the module docstring), then peels the k-truss plus the merged node's
+        star plus the lifted edges, holding only the changes in overlays.
         """
         g = self.g
         if v1 == v2:
             raise ValueError("cannot merge a node with itself")
         if v1 not in g.adj or v2 not in g.adj:
             raise ValueError(f"merge endpoints ({v1}, {v2}) must both exist")
-        a = self.adj_km1
-        n1 = a.get(v1, _EMPTY)
-        n2 = a.get(v2, _EMPTY)
+        a, tk, pos, thresh = self.adj_km1, self.tk_adj, self.pos, self.k - 2
         star = g.adj[v1] | g.adj[v2]
         star.discard(v1)
         star.discard(v2)
         star &= self.nodes_km1
-        sup2: dict[Edge, int] = {}
-        adj2: dict[NodeId, set[NodeId]] = {}
-        for e, s in self.sup_km1.items():
+        # lift pass, in peel order (pos is sorted, so the seed list is a heap): an
+        # edge counts a triangle when both other edges are star, k-truss, later
+        # shell or already lifted edges. A triangle is fresh at its earliest
+        # lifted edge; its later shell edges are pushed from there.
+        heap = [(p, e) for e, p in pos.items() if e[0] in star and e[1] in star]
+        seen = {e for _, e in heap}
+        lifted: set[Edge] = set()
+        lifted_adj: dict[NodeId, set[NodeId]] = {}
+        fresh_at: list[tuple[Edge, list[tuple[Edge, Edge]]]] = []
+        never = len(pos)
+        while heap:
+            pe, e = heapq.heappop(heap)
             x, y = e
-            if x == v1 or x == v2 or y == v1 or y == v2:
+            count = x in star and y in star
+            fresh = []
+            for w in a[x] & a[y]:
+                if w == v1 or w == v2:
+                    continue
+                f = (x, w) if x < w else (w, x)
+                h = (y, w) if y < w else (w, y)
+                pf, ph = pos.get(f, never), pos.get(h, never)
+                if pf > pe and ph > pe:
+                    fresh.append((f, h))
+                elif (pf > pe or f in lifted) and (ph > pe or h in lifted):
+                    count += 1
+            if count + len(fresh) < thresh:
                 continue
-            if x in n1 and y in n1:
-                s -= 1
-            if x in n2 and y in n2:
-                s -= 1
-            if x in star and y in star:
-                s += 1
-            sup2[e] = s
-            ax = adj2.get(x)
-            if ax is None:
-                ax = adj2[x] = set()
-            ax.add(y)
-            ay = adj2.get(y)
-            if ay is None:
-                ay = adj2[y] = set()
-            ay.add(x)
-        if star:
-            av1 = adj2.setdefault(v1, set())
-            for x in star:
-                s = len(star & a[x])
-                sup2[canon(v1, x)] = s
-                av1.add(x)
-                adj2.setdefault(x, set()).add(v1)
-        return _cascade_truss_size(adj2, sup2, self.k)
+            lifted.add(e)
+            lifted_adj.setdefault(x, set()).add(y)
+            lifted_adj.setdefault(y, set()).add(x)
+            fresh_at.append((e, fresh))
+            for pair in fresh:
+                for f in pair:
+                    if f in pos and f not in seen:
+                        seen.add(f)
+                        heapq.heappush(heap, (pos[f], f))
+        # H = T_k without its v1/v2 edges + star + lifted, as overlays on tk and sup_tk
+        t1, t2 = tk.get(v1, _EMPTY), tk.get(v2, _EMPTY)
+        sup = _Lazy(self.sup_tk.__getitem__)
+        sup.update(dict.fromkeys(lifted, 0))
+        for x in star:  # triangles gained through the merged node, lost through v1, v2
+            tx = tk.get(x, _EMPTY) & star
+            lx = lifted_adj.get(x, _EMPTY) & star
+            sup[canon(v1, x)] = len(tx) + len(lx)
+            in1, in2 = x in t1, x in t2
+            for y in tx:
+                if x < y:
+                    delta = 1 - (in1 and y in t1) - (in2 and y in t2)
+                    if delta:
+                        sup[(x, y)] += delta
+            for y in lx:
+                if x < y:
+                    sup[(x, y)] += 1
+        for e, fresh in fresh_at:  # the other new triangles, once each
+            for f, h in fresh:
+                if (f in lifted or f not in pos) and (h in lifted or h not in pos):
+                    sup[e] += 1
+                    sup[f] += 1
+                    sup[h] += 1
+        def h_adj(x: NodeId) -> set[NodeId]:
+            ns = set(tk.get(x, ())).union(lifted_adj.get(x, ())).difference((v1, v2))
+            return ns | {v1} if x in star else ns
+
+        adj = _Lazy(h_adj)
+        adj[v1] = set(star)
+        size = self.tk_size - len(t1) - len(t2) + (v2 in t1) + len(star) + len(lifted)
+        return size - len(_peel(adj, sup, self.k))
 
 
 def post_merger_truss_size(g: Graph, d: TrussDecomposition, k: int, v1: NodeId, v2: NodeId) -> int:
     """k-truss edge count after merging v2 into v1; equals full recompute."""
-    return TrussView.build(g, d, k).truss_size_after_merge(v1, v2)
+    return TrussView.compute(g, k).truss_size_after_merge(v1, v2)

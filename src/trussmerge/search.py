@@ -1,8 +1,8 @@
 """Budgeted greedy search for node mergers that grow the k-truss.
 
-Each round re-decomposes the working graph, partitions nodes, builds
-candidate mergers of both kinds, evaluates every candidate exactly on
-the restricted graph, and executes the best one. Under the default BM
+Each round peels the working graph to its (k-1)-truss and k-truss,
+partitions nodes, builds candidate mergers of both kinds, evaluates
+every candidate exactly, and executes the best one. Under the default BM
 method the split of the per-round candidate budget between
 inside-outside and inside-inside mergers adapts toward whichever kind
 keeps winning; EQ, II and IO pin the split instead. The remaining

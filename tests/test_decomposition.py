@@ -1,7 +1,8 @@
 """Truss/core decomposition, cascades, and the fast post-merger size."""
 
+import copy
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -121,6 +122,27 @@ def test_view_compute_matches_build(rng):
         assert via_cascade.tk_adj == via_decomp.tk_adj
 
 
+def test_view_compute_matches_decomposition(rng):
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(3, 16), rng.uniform(0.2, 0.8))
+        d = truss_decompose(g)
+        for k in range(3, 7):
+            view = TrussView.compute(g, k)
+            tk = k_truss_edges(d, k)
+            assert view.tk_size == len(tk)
+            assert view.shell == shell_edges(d, k)
+            assert view.nodes_km1 == {v for e in k_truss_edges(d, k - 1) for v in e}
+            assert view.tk_adj == {v: {w for e in tk if v in e for w in e if w != v}
+                                   for e in tk for v in e}
+            assert view.sup_tk == {(u, v): len(view.tk_adj[u] & view.tk_adj[v]) for u, v in tk}
+            # pos is a valid peel order: each shell edge fell with support below k-2
+            left = tk | view.shell
+            for e in sorted(view.pos, key=view.pos.get):
+                nbrs = lambda x: {w for f in left if x in f for w in f if w != x}
+                assert len(nbrs(e[0]) & nbrs(e[1])) < k - 2
+                left.remove(e)
+
+
 def test_view_rejects_small_k():
     g = graph_a()
     with pytest.raises(ValueError):
@@ -149,6 +171,72 @@ def test_post_merger_size_matches_oracle(rng):
         got = post_merger_truss_size(g, d, k, v1, v2)
         want = orc.post_merger_truss_size_oracle(g.edge_set(), k, v1, v2)
         assert got == want, (sorted(g.edge_set()), k, v1, v2)
+
+
+def test_merge_evaluation_matches_oracle_on_every_pair(rng):
+    for _ in range(25):
+        n = rng.randint(4, 14)
+        g = random_graph(rng, n, rng.uniform(0.3, 0.85))
+        edges = g.edge_set()
+        for k in (3, 4, 5, 6):
+            view = TrussView.compute(g, k)
+            for v1, v2 in permutations(g.nodes(), 2):
+                want = orc.post_merger_truss_size_oracle(edges, k, v1, v2)
+                assert view.truss_size_after_merge(v1, v2) == want, (sorted(edges), k, v1, v2)
+
+
+# octahedron K(2,2,2) on 0-5 (antipodes 0-1, 2-3, 4-5; every edge in two
+# triangles, so all of it is the 4-truss), with 6 hanging off the antipodes
+# 0, 1 and 7 off 2, 3: their edges close no triangle
+OCTA = [(u, v) for u, v in combinations(range(6), 2) if (u, v) not in {(0, 1), (2, 3), (4, 5)}]
+OCTA_HANGING = OCTA + [(0, 6), (1, 6), (2, 7), (3, 7)]
+K5_TAIL = [(u, v) for u, v in combinations(range(5), 2)] + [(4, 5), (5, 6)]
+
+
+def _hub_graph() -> list[tuple[int, int]]:
+    rng = random.Random(7)
+    edges = set(gnp_edges(rng, 14, 0.45))
+    edges |= {(i, 14) for i in range(12)}
+    return sorted(edges)
+
+
+@pytest.mark.parametrize("name, edges, k, v1, v2, case", [
+    ("adjacent, both in T_k", A_EDGES, 4, 4, 5, lambda v, s: v.tk_adj[4] >= {5}),
+    ("adjacent over a shell edge", A_EDGES, 4, 6, 5, lambda v, s: (5, 6) in v.pos),
+    ("v1 outside R", OCTA_HANGING, 4, 6, 4, lambda v, s: 6 not in v.nodes_km1),
+    ("v2 outside R", OCTA_HANGING, 4, 4, 7, lambda v, s: 7 not in v.nodes_km1),
+    ("both outside R", OCTA_HANGING, 4, 6, 7,
+     lambda v, s: not {6, 7} & v.nodes_km1 and s > v.tk_size),
+    ("empty T_k", A_EDGES, 5, 1, 4, lambda v, s: v.tk_size == 0 and v.pos),
+    ("empty shell", K5_TAIL, 5, 5, 3, lambda v, s: not v.pos and v.tk_size == 10),
+    ("identical neighbourhoods", OCTA, 4, 0, 1, lambda v, s: s < v.tk_size),
+    ("hub whose star covers most of R", _hub_graph(), 5, 14, 12,
+     lambda v, s: len((v.g.adj[14] | v.g.adj[12]) & v.nodes_km1 - {12, 14})
+     >= 0.75 * len(v.nodes_km1)),
+])
+def test_merge_evaluation_named_cases(name, edges, k, v1, v2, case):
+    g = Graph.from_edges(edges, nodes=range(max(max(e) for e in edges) + 1))
+    view = TrussView.compute(g, k)
+    size = view.truss_size_after_merge(v1, v2)
+    assert case(view, size), name
+    assert size == orc.post_merger_truss_size_oracle(g.edge_set(), k, v1, v2)
+    assert view.truss_size_after_merge(v2, v1) == size
+
+
+def test_merge_evaluation_leaves_view_unchanged(rng):
+    g = random_graph(rng, 18, 0.55)
+    view = TrussView.compute(g, 5)
+    assert view.pos and view.tk_size
+    before = copy.deepcopy((view.nodes_km1, view.adj_km1, view.tk_size, view.tk_adj,
+                            view.sup_tk, view.pos, g.adj))
+    pairs = [tuple(rng.sample(g.nodes(), 2)) for _ in range(50)]
+    forward = [view.truss_size_after_merge(v1, v2) for v1, v2 in pairs]
+    backward = [view.truss_size_after_merge(v1, v2) for v1, v2 in reversed(pairs)]
+    assert forward == backward[::-1]
+    assert (view.nodes_km1, view.adj_km1, view.tk_size, view.tk_adj, view.sup_tk,
+            view.pos, g.adj) == before
+    assert forward == [orc.post_merger_truss_size_oracle(g.edge_set(), 5, v1, v2)
+                       for v1, v2 in pairs]
 
 
 def test_post_merger_size_validations():
