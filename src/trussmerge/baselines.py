@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .candidates import CandidateMerger, MergerKind, top_inside_from_ctx, top_outside_nodes
-from .decomposition import truss_decompose
+from .decomposition import _supports, merge_supports, truss_decompose
 from .graph import Graph, NodeId
 from .search import (MergerPlan, MergerStep, RoundState, RunConfig,
                      build_round_state, evaluate_candidates, pick_best)
@@ -85,12 +85,13 @@ def _baseline_loop(g: Graph, cfg: RunConfig, make_candidates) -> MergerPlan:
     cfg.validate()
     work = g.copy()
     rng = random.Random(cfg.seed)
+    sup = _supports(work.adj)
     initial, counts = 0, None
     steps: list[MergerStep] = []
     skipped = 0
     for rnd in range(cfg.b):
         t0 = time.perf_counter()
-        state = build_round_state(work, cfg.k)
+        state = build_round_state(work, cfg.k, sup)
         if rnd == 0:
             initial, counts = state.view.tk_size, state.node_counts()
         cands = make_candidates(cfg, state, rng)
@@ -102,7 +103,7 @@ def _baseline_loop(g: Graph, cfg: RunConfig, make_candidates) -> MergerPlan:
         best, best_size = pick_best(cands, sizes)
         if not cfg.allow_no_op and best_size <= state.view.tk_size:
             break
-        work._merge_inplace(best.v1, best.v2)
+        merge_supports(work, sup, best.v1, best.v2)
         steps.append(MergerStep(best.v1, best.v2, best.kind, best_size, 0,
                                 len(cands), time.perf_counter() - t0))
     return MergerPlan(cfg.k, initial, tuple(steps), skipped, counts)

@@ -109,8 +109,8 @@ def _constraint_filter(g: Graph, coords_path: str | None, threshold: float | Non
 
 
 def _config_echo(cfg: RunConfig, args) -> dict:
-    # thread count is execution plumbing, not result-relevant config:
-    # reports must come out identical whatever the pool size was
+    # --threads changes nothing (evaluation runs on one thread), so it is
+    # left out: reports must come out identical whatever it was set to
     return {
         "k": cfg.k, "budget": cfg.b, "ni": cfg.n_i, "no": cfg.n_o, "nc": cfg.n_c,
         "method": cfg.method.value, "seed": cfg.seed,

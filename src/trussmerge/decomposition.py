@@ -121,6 +121,39 @@ def _supports(adj: dict[NodeId, set[NodeId]]) -> dict[Edge, int]:
     return {(u, v): len(ns & adj[v]) for u, ns in adj.items() for v in ns if u < v}
 
 
+def merge_supports(g: Graph, sup: dict[Edge, int], v1: NodeId, v2: NodeId) -> None:
+    """Merge v2 into v1 in place and update ``sup``, the triangle count of every edge.
+
+    Only the pair's edges and the edges inside the merged node's star
+    N' = (N1 | N2) - {v1, v2} can change; see :func:`_fix_star`.
+    """
+    a = g.adj
+    n1, n2 = set(a.get(v1, ())), a.get(v2, _EMPTY)
+    g._merge_inplace(v1, v2)  # validates the pair before sup changes
+    for w in n1:
+        del sup[canon(v1, w)]
+    for w in n2 - {v1}:
+        del sup[canon(v2, w)]
+    _fix_star(sup, a[v1], a, n1, n2, v1)
+
+
+def _fix_star(sup, star: set[NodeId], adj: dict[NodeId, set[NodeId]], n1, n2, v1: NodeId) -> None:
+    """Merge v2 into v1 in ``sup``, the supports of ``adj``, inside the new star N'.
+
+    An edge (x, y) of N' gains the triangle through v1 and loses those it had
+    through v1 (old neighbours ``n1``) and v2 (``n2``); (v1, x) is recounted.
+    """
+    for x in star:
+        nx = adj.get(x, _EMPTY) & star
+        in1, in2 = x in n1, x in n2
+        for y in nx:
+            if x < y:
+                delta = 1 - (in1 and y in n1) - (in2 and y in n2)
+                if delta:
+                    sup[(x, y)] += delta
+        sup[canon(v1, x)] = len(nx)
+
+
 def _peel(adj: dict[NodeId, set[NodeId]], sup: dict[Edge, int], k: int) -> list[Edge]:
     """Remove edges with support < k-2 until none is left; returns them in removal order.
 
@@ -193,17 +226,18 @@ class TrussView:
         return cls.compute(g, k)
 
     @classmethod
-    def compute(cls, g: Graph, k: int) -> "TrussView":
+    def compute(cls, g: Graph, k: int, sup: dict[Edge, int] | None = None) -> "TrussView":
         """Peel the graph to its (k-1)-truss, then once more to its k-truss.
 
         Both peels reach the unique fixpoints the trussness map would give
         but only touch edges that actually fall out. The second peel's
-        removal order is the shell edges' ``pos``.
+        removal order is the shell edges' ``pos``. A given ``sup`` (every edge's
+        triangle count, as kept by :func:`merge_supports`) is copied, not recounted.
         """
         if k < 3:
             raise ValueError("k must be at least 3")
         adj = {v: set(ns) for v, ns in g.adj.items()}
-        sup = _supports(g.adj)
+        sup = _supports(g.adj) if sup is None else dict(sup)
         _peel(adj, sup, k - 1)
         adj_km1 = {v: ns for v, ns in adj.items() if ns}
         tk_adj = {v: set(ns) for v, ns in adj_km1.items()}
@@ -229,11 +263,16 @@ class TrussView:
         star.discard(v1)
         star.discard(v2)
         star &= self.nodes_km1
-        # lift pass, in peel order (pos is sorted, so the seed list is a heap): an
+        # lift pass, in peel order, seeded with the shell edges inside the star: an
         # edge counts a triangle when both other edges are star, k-truss, later
         # shell or already lifted edges. A triangle is fresh at its earliest
         # lifted edge; its later shell edges are pushed from there.
-        heap = [(p, e) for e, p in pos.items() if e[0] in star and e[1] in star]
+        if len(star) ** 2 < len(pos):  # walk a small star's edges, else scan the shell
+            heap = [(pos[e], e) for x in star for y in a[x] & star
+                    if x < y and (e := (x, y)) in pos]
+            heapq.heapify(heap)
+        else:  # pos is in peel order, so this list is already a heap
+            heap = [(p, e) for e, p in pos.items() if e[0] in star and e[1] in star]
         seen = {e for _, e in heap}
         lifted: set[Edge] = set()
         lifted_adj: dict[NodeId, set[NodeId]] = {}
@@ -269,19 +308,13 @@ class TrussView:
         t1, t2 = tk.get(v1, _EMPTY), tk.get(v2, _EMPTY)
         sup = _Lazy(self.sup_tk.__getitem__)
         sup.update(dict.fromkeys(lifted, 0))
-        for x in star:  # triangles gained through the merged node, lost through v1, v2
-            tx = tk.get(x, _EMPTY) & star
-            lx = lifted_adj.get(x, _EMPTY) & star
-            sup[canon(v1, x)] = len(tx) + len(lx)
-            in1, in2 = x in t1, x in t2
-            for y in tx:
-                if x < y:
-                    delta = 1 - (in1 and y in t1) - (in2 and y in t2)
-                    if delta:
-                        sup[(x, y)] += delta
-            for y in lx:
-                if x < y:
-                    sup[(x, y)] += 1
+        _fix_star(sup, star, tk, t1, t2, v1)
+        for x, lx in lifted_adj.items():  # triangles gained through v1 over lifted edges
+            if x in star and (lx := lx & star):
+                sup[canon(v1, x)] += len(lx)
+                for y in lx:
+                    if x < y:
+                        sup[(x, y)] += 1
         for e, fresh in fresh_at:  # the other new triangles, once each
             for f, h in fresh:
                 if (f in lifted or f not in pos) and (h in lifted or h not in pos):

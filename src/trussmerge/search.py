@@ -1,6 +1,7 @@
 """Budgeted greedy search for node mergers that grow the k-truss.
 
-Each round peels the working graph to its (k-1)-truss and k-truss,
+Each round peels the working graph to its (k-1)-truss and k-truss from
+edge supports carried across rounds and updated at each merged pair,
 partitions nodes, builds candidate mergers of both kinds, evaluates
 every candidate exactly, and executes the best one. Under the default BM
 method the split of the per-round candidate budget between
@@ -20,8 +21,8 @@ from typing import Sequence
 
 from .candidates import (CandidateMerger, ConstraintFilter, MergerKind, ScoringContext,
                          find_iim_candidates, find_iom_candidates)
-from .decomposition import TrussView, truss_decompose
-from .graph import Graph, NodeId, merge_all
+from .decomposition import TrussView, _supports, merge_supports, truss_decompose
+from .graph import Edge, Graph, NodeId, merge_all
 from .pruning import NodePartition, prune_outside_maximal
 
 
@@ -117,7 +118,8 @@ def adaptive_update(n_io: int, winner: MergerKind, n_c: int, b: int) -> int:
     """Shift the candidate budget toward the winning merger kind.
 
     The step is floor(n_c / b); both kinds always keep at least that
-    floor so neither pool starves for the rest of the run.
+    floor so neither pool starves for the rest of the run. When b > n_c
+    the step is 0, so BM never moves n_io and plans exactly like EQ.
     """
     step = n_c // b
     if winner is MergerKind.IOM:
@@ -147,9 +149,9 @@ class RoundState:
         return len(self.partition.inside), len(self.partition.outside), len(self.pruned)
 
 
-def build_round_state(work: Graph, k: int) -> RoundState:
-    """Recompute trusses, partition and pruning for the current graph."""
-    view = TrussView.compute(work, k)
+def build_round_state(work: Graph, k: int, sup: dict[Edge, int] | None = None) -> RoundState:
+    """Recompute trusses, partition and pruning; ``sup`` as in :meth:`TrussView.compute`."""
+    view = TrussView.compute(work, k, sup)
     inside = view.nodes_km1
     inside_neighbors = {v: ns & inside for v, ns in work.adj.items()}
     p = NodePartition(inside, set(work.adj) - inside, inside_neighbors)
@@ -181,12 +183,13 @@ def adaptive_search(g: Graph, cfg: RunConfig) -> MergerPlan:
     cfg.validate()
     work = g.copy()
     n_io = _initial_n_io(cfg)
+    sup = _supports(work.adj)
     initial, counts = 0, None
     steps: list[MergerStep] = []
     skipped = 0
     for rnd in range(cfg.b):
         t0 = time.perf_counter()
-        state = build_round_state(work, cfg.k)
+        state = build_round_state(work, cfg.k, sup)
         if rnd == 0:
             initial, counts = state.view.tk_size, state.node_counts()
         cands: list[CandidateMerger] = []
@@ -206,7 +209,7 @@ def adaptive_search(g: Graph, cfg: RunConfig) -> MergerPlan:
         best, best_size = pick_best(cands, sizes)
         if not cfg.allow_no_op and best_size <= state.view.tk_size:
             break
-        work._merge_inplace(best.v1, best.v2)
+        merge_supports(work, sup, best.v1, best.v2)
         steps.append(MergerStep(best.v1, best.v2, best.kind, best_size, n_io,
                                 len(cands), time.perf_counter() - t0))
         if cfg.method is Method.BM and rnd < cfg.b - 1:

@@ -101,7 +101,8 @@ def test_maximize_builds_one_view_per_round(graph_a_file, tmp_path, monkeypatch,
     calls = []
     real = TrussView.compute.__func__
     monkeypatch.setattr(TrussView, "compute",
-                        classmethod(lambda cls, g, k: calls.append(k) or real(cls, g, k)))
+                        classmethod(lambda cls, g, k, *args, **kwargs:
+                                    calls.append(k) or real(cls, g, k, *args, **kwargs)))
     out = tmp_path / "report.json"
     assert main(maximize_args(graph_a_file, str(out), method=method)) == 0
     report = json.loads(out.read_text())

@@ -2,6 +2,7 @@
 
 import copy
 import random
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from trussmerge import (Graph, TrussView, core_decompose, k_truss_edges,
                         node_trussness, post_merger_truss_size, shell_edges,
                         truss_decompose, truss_subgraph)
+
+from trussmerge.decomposition import _supports, merge_supports
 
 import oracles as orc
 from conftest import gnp_edges, random_graph
@@ -141,6 +144,80 @@ def test_view_compute_matches_decomposition(rng):
                 nbrs = lambda x: {w for f in left if x in f for w in f if w != x}
                 assert len(nbrs(e[0]) & nbrs(e[1])) < k - 2
                 left.remove(e)
+
+
+def assert_peel_order(view: TrussView) -> None:
+    """``pos`` lists the shell edges in an order that peels R down to T_k."""
+    left = {v: set(ns) for v, ns in view.adj_km1.items()}
+    for x, y in sorted(view.pos, key=view.pos.get):
+        assert len(left[x] & left[y]) < view.k - 2
+        left[x].discard(y)
+        left[y].discard(x)
+    assert {v: ns for v, ns in left.items() if ns} == view.tk_adj
+
+
+def view_fields(v: TrussView) -> tuple:
+    """Every field but ``pos``, whose peel order follows the key order of the supports."""
+    return v.g, v.k, v.nodes_km1, v.adj_km1, v.tk_size, v.tk_adj, v.sup_tk
+
+
+def test_view_from_carried_supports_matches_compute(rng):
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(3, 16), rng.uniform(0.2, 0.8))
+        sup = _supports(g.adj)
+        for k in range(3, 7):
+            fresh, carried = TrussView.compute(g, k), TrussView.compute(g, k, sup)
+            assert view_fields(carried) == view_fields(fresh)
+            assert carried.pos == fresh.pos
+        assert sup == _supports(g.adj)  # the view peels a copy
+
+
+def _merge_pair(rng: random.Random, g: Graph) -> tuple[str, int, int]:
+    """A random merge pair of a random shape, in random order."""
+    nodes = g.nodes()
+    hub = max(nodes, key=lambda v: (len(g.adj[v]), v))
+    shapes = {
+        "adjacent": list(g.edges()),
+        "common neighbours": [(u, v) for u, v in combinations(nodes, 2) if g.adj[u] & g.adj[v]],
+        "isolated node": [(u, v) for u, v in combinations(nodes, 2)
+                          if not g.adj[u] or not g.adj[v]],
+        "hub": [(hub, v) for v in nodes if v != hub] if 2 * len(g.adj[hub]) > len(nodes) else [],
+        "any": list(combinations(nodes, 2)),
+    }
+    shape = rng.choice([name for name, pairs in shapes.items() if pairs])
+    v1, v2 = rng.choice(shapes[shape])
+    return (shape, v1, v2) if rng.random() < 0.5 else (shape, v2, v1)
+
+
+def test_merge_supports_matches_recount(rng):
+    shapes = Counter()
+    for i in range(240):
+        n = rng.randint(2, 18)
+        edges = gnp_edges(rng, n, rng.uniform(0.1, 0.8))
+        if i % 3 == 0:  # node n is a hub with most nodes in its star, else isolated
+            edges |= {(v, n) for v in range(n) if rng.random() < 0.85}
+        g = Graph.from_edges(sorted(edges), nodes=range(n + 3))
+        ref = g.copy()
+        sup = _supports(g.adj)
+        for _ in range(rng.randint(1, g.node_count - 1)):
+            shape, v1, v2 = _merge_pair(rng, g)
+            shapes[shape] += 1
+            merge_supports(g, sup, v1, v2)
+            ref._merge_inplace(v1, v2)
+            assert g.adj == ref.adj and g.edge_count == ref.edge_count
+            assert sup == _supports(g.adj), (sorted(edges), shape, v1, v2)
+    assert min(shapes.values()) >= 50, shapes
+    assert len(shapes) == 5
+
+
+def test_merge_supports_rejects_bad_pairs():
+    g = graph_a()
+    sup = _supports(g.adj)
+    before = dict(sup)
+    for v1, v2 in ((0, 0), (0, 99), (99, 0)):
+        with pytest.raises(ValueError):
+            merge_supports(g, sup, v1, v2)
+    assert sup == before and g.edge_set() == graph_a().edge_set()
 
 
 def test_view_rejects_small_k():

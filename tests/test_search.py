@@ -4,11 +4,13 @@ import pytest
 
 from trussmerge import (Graph, Method, MergerKind, RunConfig, adaptive_search,
                         adaptive_update, gen_er, objective, run_method)
-from trussmerge import search
+from trussmerge import TrussView, baselines, search
+from trussmerge.decomposition import _supports
 from trussmerge.search import MergerPlan, MergerStep
 
 from conftest import gnp_edges
-from test_decomposition import A_EDGES, graph_a
+from test_decomposition import A_EDGES, assert_peel_order, graph_a, view_fields
+from test_scale import email_scale_graph  # noqa: F401  (fixture)
 
 
 def steps_sans_time(plan):
@@ -34,6 +36,37 @@ def test_adaptive_update_never_starves_either_pool(rng):
         step = n_c // b
         assert step <= out <= n_c - step
         assert abs(out - min(max(n_io, step), n_c - step)) <= step
+
+
+def test_bm_with_step_zero_plans_like_eq():
+    # b > n_c makes the step n_c // b zero, so BM never moves n_io
+    g = gen_er(40, 0.25, 5)
+    bm = adaptive_search(g, RunConfig(k=4, b=4, n_c=3, method=Method.BM))
+    eq = adaptive_search(g, RunConfig(k=4, b=4, n_c=3, method=Method.EQ))
+    assert steps_sans_time(bm) == steps_sans_time(eq)
+    assert len(bm.steps) == 4
+    assert [s.n_io for s in bm.steps] == [1] * 4
+
+
+@pytest.mark.parametrize("k,method", [(5, "BM"), (5, "RD"), (10, "BM"), (10, "RD")])
+def test_carried_supports_match_recompute_at_scale(email_scale_graph, monkeypatch, k, method):
+    views = []
+    real = search.build_round_state
+
+    def checked(work, k, sup):
+        assert sup == _supports(work.adj)
+        carried, fresh = TrussView.compute(work, k, sup), TrussView.compute(work, k)
+        assert view_fields(carried) == view_fields(fresh)
+        # merges reorder the carried map's keys, and the peel order with them
+        assert carried.pos.keys() == fresh.pos.keys()
+        assert_peel_order(carried)
+        views.append(carried)
+        return real(work, k, sup)
+
+    monkeypatch.setattr(search, "build_round_state", checked)
+    monkeypatch.setattr(baselines, "build_round_state", checked)
+    plan = run_method(email_scale_graph, RunConfig(k=k, b=3, method=Method(method), seed=1))
+    assert len(views) == len(plan.steps) == 3
 
 
 def test_config_validation():
