@@ -15,11 +15,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .candidates import CandidateMerger, MergerKind, top_inside_from_ctx, top_outside_nodes
-from .decomposition import _supports, merge_supports, truss_decompose
+from .candidates import (CandidateMerger, MergerKind, ScoringContext, iim_pool, iom_pool,
+                         top_candidates, top_inside_from_ctx)
+from .decomposition import truss_decompose
 from .graph import Graph, NodeId
-from .search import (MergerPlan, MergerStep, RoundState, RunConfig,
-                     build_round_state, evaluate_candidates, pick_best)
+# build_round_state is not called here: the tracer in perfbench/tracing.py
+# looks it up in this module, as in cli and search, to span round-state builds
+from .search import MergerPlan, MergerStep, RunConfig, build_round_state, greedy_loop  # noqa: F401
 
 BRUTE_FORCE_NODE_LIMIT = 200
 
@@ -81,35 +83,15 @@ def naive_greedy(g: Graph, k: int, b: int) -> MergerPlan:
 
 
 def _baseline_loop(g: Graph, cfg: RunConfig, make_candidates) -> MergerPlan:
-    """Shared round skeleton: candidates differ, evaluation does not."""
-    cfg.validate()
-    work = g.copy()
-    rng = random.Random(cfg.seed)
-    sup = _supports(work.adj)
-    initial, counts = 0, None
-    steps: list[MergerStep] = []
-    skipped = 0
-    for rnd in range(cfg.b):
-        t0 = time.perf_counter()
-        state = build_round_state(work, cfg.k, sup)
-        if rnd == 0:
-            initial, counts = state.view.tk_size, state.node_counts()
-        cands = make_candidates(cfg, state, rng)
-        if not cands:
-            # nothing merged, so every later round would see this same graph
-            skipped = cfg.b - rnd
-            break
-        sizes = evaluate_candidates(state.view, cands)
-        best, best_size = pick_best(cands, sizes)
-        if not cfg.allow_no_op and best_size <= state.view.tk_size:
-            break
-        merge_supports(work, sup, best.v1, best.v2)
-        steps.append(MergerStep(best.v1, best.v2, best.kind, best_size, 0,
-                                len(cands), time.perf_counter() - t0))
-    return MergerPlan(cfg.k, initial, tuple(steps), skipped, counts)
+    """The shared greedy loop with a baseline's candidate source; ``n_io`` stays 0.
+
+    Every RD, NE and NT run enters here, so a trace spans each one once.
+    """
+    return greedy_loop(g, cfg, make_candidates)
 
 
-def _rd_candidates(cfg: RunConfig, state: RoundState, rng: random.Random) -> list[CandidateMerger]:
+def _rd_candidates(cfg: RunConfig, state: ScoringContext, rng: random.Random,
+                  n_io: int) -> list[CandidateMerger]:
     inside = sorted(state.partition.inside)
     pruned = sorted(state.pruned)
     ni, no = len(inside), len(pruned)
@@ -145,18 +127,10 @@ def baseline_rd(g: Graph, cfg: RunConfig) -> MergerPlan:
     return _baseline_loop(g, cfg, _rd_candidates)
 
 
-def _ne_candidates(cfg: RunConfig, state: RoundState, rng: random.Random) -> list[CandidateMerger]:
-    ctx = state.ctx
-    inside = top_inside_from_ctx(ctx, cfg.n_i)
-    outside = top_outside_nodes(state.pruned, state.partition.inside_neighbors, cfg.n_o)
-    out: list[CandidateMerger] = []
-    for vi in inside:
-        for vo in outside:
-            if cfg.filter is not None and not cfg.filter.allows(vi, vo):
-                continue
-            out.append(CandidateMerger(vi, vo, MergerKind.IOM, ctx.z_mask(vi, vo).bit_count()))
-    out.sort(key=CandidateMerger.sort_key)
-    return out[:cfg.n_c]
+def _ne_candidates(cfg: RunConfig, state: ScoringContext, rng: random.Random,
+                  n_io: int) -> list[CandidateMerger]:
+    return top_candidates([CandidateMerger(vi, vo, MergerKind.IOM, state.z_mask(vi, vo).bit_count())
+                           for vi, vo in iom_pool(state, cfg.n_i, cfg.n_o, cfg.filter)], cfg.n_c)
 
 
 def baseline_ne(g: Graph, cfg: RunConfig) -> MergerPlan:
@@ -168,12 +142,9 @@ def baseline_ne(g: Graph, cfg: RunConfig) -> MergerPlan:
     return _baseline_loop(g, cfg, _ne_candidates)
 
 
-def _nt_candidates(cfg: RunConfig, state: RoundState, rng: random.Random) -> list[CandidateMerger]:
-    p = state.partition
-    ctx = state.ctx
-    inside = top_inside_from_ctx(ctx, cfg.n_i)
-    outside = top_outside_nodes(state.pruned, p.inside_neighbors, cfg.n_o)
-    m = ctx.masks
+def _nt_candidates(cfg: RunConfig, state: ScoringContext, rng: random.Random,
+                  n_io: int) -> list[CandidateMerger]:
+    m = state.masks
     bm, bit, order = m.nb, m.bit, m.order
 
     def edges_within(mask: int) -> int:
@@ -185,25 +156,17 @@ def _nt_candidates(cfg: RunConfig, state: RoundState, rng: random.Random) -> lis
             mm ^= low
         return total // 2
 
-    tri_at = {v: edges_within(bm[v]) for v in inside}
+    tri_at = {v: edges_within(bm[v]) for v in top_inside_from_ctx(state, cfg.n_i)}
     out: list[CandidateMerger] = []
-    for a, b in combinations(inside, 2):
-        v1, v2 = (a, b) if a < b else (b, a)
-        if cfg.filter is not None and not cfg.filter.allows(v1, v2):
-            continue
+    for v1, v2 in iim_pool(state, cfg.n_i, cfg.filter):
         joint = (bm[v1] | bm[v2]) & ~(bit[v1] | bit[v2])
-        t12 = (bm[v1] & bm[v2]).bit_count() if v2 in p.inside_neighbors[v1] else 0
+        t12 = (bm[v1] & bm[v2]).bit_count() if v2 in state.partition.inside_neighbors[v1] else 0
         delta = edges_within(joint) - tri_at[v1] - tri_at[v2] + t12
         out.append(CandidateMerger(v1, v2, MergerKind.IIM, delta))
-    for v1 in inside:
-        for v2 in outside:
-            if cfg.filter is not None and not cfg.filter.allows(v1, v2):
-                continue
-            joint = (bm[v1] | bm[v2]) & ~bit[v1]
-            delta = edges_within(joint) - tri_at[v1]
-            out.append(CandidateMerger(v1, v2, MergerKind.IOM, delta))
-    out.sort(key=CandidateMerger.sort_key)
-    return out[:cfg.n_c]
+    for v1, v2 in iom_pool(state, cfg.n_i, cfg.n_o, cfg.filter):
+        joint = (bm[v1] | bm[v2]) & ~bit[v1]
+        out.append(CandidateMerger(v1, v2, MergerKind.IOM, edges_within(joint) - tri_at[v1]))
+    return top_candidates(out, cfg.n_c)
 
 
 def baseline_nt(g: Graph, cfg: RunConfig) -> MergerPlan:

@@ -127,35 +127,35 @@ class NodeMasks(NamedTuple):
 
 @dataclass(eq=False)
 class ScoringContext:
-    """Per-round neighbor tables shared by all candidate scoring."""
+    """Everything one search round derives from the working graph.
 
-    p: NodePartition
-    tk_adj: dict[NodeId, set[NodeId]]
-    tkm1_adj: dict[NodeId, set[NodeId]]
+    Holds the round's truss view, node partition and pruned outside
+    nodes, and the bitsets all candidate scoring reads, built on first use.
+    """
+
+    view: TrussView
+    partition: NodePartition
+    pruned: set[NodeId]
     _masks: NodeMasks | None = field(default=None, init=False, repr=False)
 
-    @classmethod
-    def from_decomposition(cls, g: Graph, d: TrussDecomposition | None, p: NodePartition,
-                           k: int) -> "ScoringContext":
-        if d is None:
-            raise ValueError("either a decomposition or a scoring context is required")
-        view = TrussView.build(g, d, k)
-        return cls(p, view.tk_adj, view.adj_km1)
+    def node_counts(self) -> tuple[int, int, int]:
+        return len(self.partition.inside), len(self.partition.outside), len(self.pruned)
 
     @property
     def masks(self) -> NodeMasks:
         """The round's bitsets, built on first use."""
         if self._masks is None:
-            order = sorted(self.p.inside)
-            bit = dict.fromkeys(self.p.inside_neighbors, 0)
+            p, view = self.partition, self.view
+            order = sorted(p.inside)
+            bit = dict.fromkeys(p.inside_neighbors, 0)
             bit.update((v, 1 << i) for i, v in enumerate(order))
 
             def mask(nodes) -> int:
                 return sum(map(bit.__getitem__, nodes))  # distinct bits, so sum is OR
 
-            tk = {v: mask(self.tk_adj.get(v, ())) for v in bit}
-            km1 = {v: mask(self.tkm1_adj.get(v, ())) for v in bit}
-            nb = {v: mask(ns) for v, ns in self.p.inside_neighbors.items()}
+            tk = {v: mask(view.tk_adj.get(v, ())) for v in bit}
+            km1 = {v: mask(view.adj_km1.get(v, ())) for v in bit}
+            nb = {v: mask(ns) for v, ns in p.inside_neighbors.items()}
             self._masks = NodeMasks(order, bit, nb, tk, km1, {v: km1[v] & ~tk[v] for v in bit})
         return self._masks
 
@@ -187,6 +187,17 @@ class ScoringContext:
         return helped + twice // 2 + (sh[v1] & reach).bit_count(), z.bit_count()
 
 
+def _context(g: Graph, d: TrussDecomposition | None, p: NodePartition, k: int,
+             ctx: ScoringContext | None = None) -> ScoringContext:
+    """The given round context, or one built from (g, p, k) for the (g, d, p, k) wrappers."""
+    if ctx is not None:
+        return ctx
+    if d is None:
+        raise ValueError("either a decomposition or a scoring context is required")
+    return ScoringContext(TrussView.compute(g, k), p,
+                          prune_outside_maximal(p.outside, p.inside_neighbors))
+
+
 def incident_prospects(p: NodePartition, d: TrussDecomposition, g: Graph, k: int, v: NodeId) -> set[NodeId]:
     """Inside neighbors of v not already its k-truss neighbors."""
     if v not in p.inside:
@@ -197,7 +208,7 @@ def incident_prospects(p: NodePartition, d: TrussDecomposition, g: Graph, k: int
 
 def top_inside_nodes(p: NodePartition, d: TrussDecomposition, g: Graph, k: int, n_i: int) -> list[NodeId]:
     """Inside nodes by descending incident-prospect count, ids break ties."""
-    return top_inside_from_ctx(ScoringContext.from_decomposition(g, d, p, k), n_i)
+    return top_inside_from_ctx(_context(g, d, p, k), n_i)
 
 
 def top_outside_nodes(pruned: set[NodeId], inside_nbrs: dict[NodeId, set[NodeId]], n_o: int) -> list[NodeId]:
@@ -213,7 +224,7 @@ def new_inside_neighbors(g: Graph, d: TrussDecomposition, p: NodePartition, k: i
     Z = (inside nbrs of either endpoint) minus v_i and its (k-1)-truss
     edge neighbors; the merge adds the star {(v_i, z) : z in Z}.
     """
-    ctx = ScoringContext.from_decomposition(g, d, p, k)
+    ctx = _context(g, d, p, k)
     return ctx.masks.nodes(ctx.z_mask(v_i, v_o))
 
 
@@ -223,7 +234,7 @@ def phse(g: Graph, d: TrussDecomposition, p: NodePartition, k: int,
 
     Lists the edges :meth:`ScoringContext.phse_edges` counts.
     """
-    ctx = ScoringContext.from_decomposition(g, d, p, k)
+    ctx = _context(g, d, p, k)
     m = ctx.masks
     new = ctx.z_mask(v_i, v_o) & ~m.nb[v_i]
     out: set[Edge] = set()
@@ -238,7 +249,7 @@ def iim_score(g: Graph, d: TrussDecomposition, p: NodePartition, k: int,
     """Reward/penalty score for merging two inside nodes."""
     if v1 == v2 or v1 not in p.inside or v2 not in p.inside:
         raise ValueError(f"iim_score needs two distinct inside nodes, got {v1} and {v2}")
-    return _iim_score(ScoringContext.from_decomposition(g, d, p, k), v1, v2)
+    return _iim_score(_context(g, d, p, k), v1, v2)
 
 
 def _iim_score(ctx: ScoringContext, v1: NodeId, v2: NodeId) -> int:
@@ -255,7 +266,7 @@ def _iim_score(ctx: ScoringContext, v1: NodeId, v2: NodeId) -> int:
     only2 = n2 & ~(n1 | m.bit[v1])
     both = n1 & n2
     # the outer walks use the neighbor sets: faster than peeling mask bits
-    s1, s2 = ctx.p.inside_neighbors[v1], ctx.p.inside_neighbors[v2]
+    s1, s2 = ctx.partition.inside_neighbors[v1], ctx.partition.inside_neighbors[v2]
     only1 = s1 - s2
     only1.discard(v2)
     gains = 0
@@ -275,26 +286,35 @@ def top_inside_from_ctx(ctx: ScoringContext, n_i: int) -> list[NodeId]:
     return [v for _, v in scored[:n_i]]
 
 
+def iom_pool(ctx: ScoringContext, n_i: int, n_o: int,
+             cfilter: ConstraintFilter | None) -> list[tuple[NodeId, NodeId]]:
+    """(inside, outside) pairs of the top inside and top pruned outside nodes the filter admits."""
+    outside = top_outside_nodes(ctx.pruned, ctx.partition.inside_neighbors, n_o)
+    return [(vi, vo) for vi in top_inside_from_ctx(ctx, n_i) for vo in outside
+            if cfilter is None or cfilter.allows(vi, vo)]
+
+
+def iim_pool(ctx: ScoringContext, n_i: int,
+             cfilter: ConstraintFilter | None) -> list[tuple[NodeId, NodeId]]:
+    """Pairs of top inside nodes, smaller id first, that the filter admits."""
+    pairs = ((a, b) if a < b else (b, a) for a, b in combinations(top_inside_from_ctx(ctx, n_i), 2))
+    return [(v1, v2) for v1, v2 in pairs if cfilter is None or cfilter.allows(v1, v2)]
+
+
+def top_candidates(cands: list[CandidateMerger], n_c: int) -> list[CandidateMerger]:
+    """The n_c best candidates by :meth:`CandidateMerger.sort_key`."""
+    return sorted(cands, key=CandidateMerger.sort_key)[:n_c]
+
+
 def find_iom_candidates(g: Graph, d: TrussDecomposition | None, p: NodePartition, k: int,
                         n_i: int, n_o: int, n_c: int,
                         cfilter: ConstraintFilter | None = None, *,
-                        pruned: set[NodeId] | None = None,
                         ctx: ScoringContext | None = None) -> list[CandidateMerger]:
     """Top n_c inside-outside mergers from the focused node pools."""
-    ctx = ctx or ScoringContext.from_decomposition(g, d, p, k)
-    if pruned is None:
-        pruned = prune_outside_maximal(p.outside, p.inside_neighbors)
-    inside = top_inside_from_ctx(ctx, n_i)
-    outside = top_outside_nodes(pruned, p.inside_neighbors, n_o)
-    out: list[CandidateMerger] = []
-    for vi in inside:
-        for vo in outside:
-            if cfilter is not None and not cfilter.allows(vi, vo):
-                continue
-            score, z_size = ctx.phse_edges(vi, vo)
-            out.append(CandidateMerger(vi, vo, MergerKind.IOM, score, z_size))
-    out.sort(key=CandidateMerger.sort_key)
-    return out[:n_c]
+    ctx = _context(g, d, p, k, ctx)
+    # scored by |PHSE|, ties broken by |Z|
+    return top_candidates([CandidateMerger(vi, vo, MergerKind.IOM, *ctx.phse_edges(vi, vo))
+                           for vi, vo in iom_pool(ctx, n_i, n_o, cfilter)], n_c)
 
 
 def find_iim_candidates(g: Graph, d: TrussDecomposition | None, p: NodePartition, k: int,
@@ -302,13 +322,6 @@ def find_iim_candidates(g: Graph, d: TrussDecomposition | None, p: NodePartition
                         cfilter: ConstraintFilter | None = None, *,
                         ctx: ScoringContext | None = None) -> list[CandidateMerger]:
     """Top n_c inside-inside mergers among the focused inside nodes."""
-    ctx = ctx or ScoringContext.from_decomposition(g, d, p, k)
-    inside = top_inside_from_ctx(ctx, n_i)
-    out: list[CandidateMerger] = []
-    for a, b in combinations(inside, 2):
-        v1, v2 = (a, b) if a < b else (b, a)
-        if cfilter is not None and not cfilter.allows(v1, v2):
-            continue
-        out.append(CandidateMerger(v1, v2, MergerKind.IIM, _iim_score(ctx, v1, v2)))
-    out.sort(key=CandidateMerger.sort_key)
-    return out[:n_c]
+    ctx = _context(g, d, p, k, ctx)
+    return top_candidates([CandidateMerger(v1, v2, MergerKind.IIM, _iim_score(ctx, v1, v2))
+                           for v1, v2 in iim_pool(ctx, n_i, cfilter)], n_c)

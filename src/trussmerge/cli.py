@@ -109,8 +109,7 @@ def _constraint_filter(g: Graph, coords_path: str | None, threshold: float | Non
 
 
 def _config_echo(cfg: RunConfig, args) -> dict:
-    # --threads changes nothing (evaluation runs on one thread), so it is
-    # left out: reports must come out identical whatever it was set to
+    # --threads changes nothing, so it is left out and reports match whatever it was
     return {
         "k": cfg.k, "budget": cfg.b, "ni": cfg.n_i, "no": cfg.n_o, "nc": cfg.n_c,
         "method": cfg.method.value, "seed": cfg.seed,
@@ -166,8 +165,7 @@ def cmd_maximize(args) -> int:
     cfg = RunConfig(k=args.k, b=args.budget, n_i=args.ni, n_o=args.no, n_c=args.nc,
                     method=Method(args.method), seed=args.seed,
                     filter=_constraint_filter(g, args.coords, args.dist_threshold),
-                    threads=args.threads, allow_no_op=args.allow_no_op)
-    cfg.validate()
+                    allow_no_op=args.allow_no_op)
     start = time.perf_counter()
     plan = run_method(g, cfg)
     total = time.perf_counter() - start
@@ -202,6 +200,8 @@ def cmd_maximize(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     g = _load_graph(args.dataset)
     methods = [Method(tok.strip().upper()) for tok in args.methods.split(",") if tok.strip()]
     rows = []
@@ -209,11 +209,9 @@ def cmd_compare(args) -> int:
         for method in methods:
             trials = args.trials if method is Method.RD else 1
             finals, seconds = [], []
-            initial = None
             for t in range(trials):
                 cfg = RunConfig(k=k, b=args.budget, n_i=args.ni, n_o=args.no,
-                                n_c=args.nc, method=method, seed=args.seed + t,
-                                threads=args.threads)
+                                n_c=args.nc, method=method, seed=args.seed + t)
                 start = time.perf_counter()
                 plan = run_method(g, cfg)
                 seconds.append(time.perf_counter() - start)
@@ -237,9 +235,8 @@ def cmd_robustness_study(args) -> int:
         if args.k is None:
             raise ValueError("--k is required with --dataset")
         g = _load_graph(args.dataset)
-        trace = correlation_study(g, args.k, args.rounds, n_i=args.ni, n_o=args.no,
-                                  n_c=args.nc, seed=args.seed, threads=args.threads,
-                                  betweenness_sources=args.betweenness_sources)
+        trace = correlation_study(g, args.k, args.rounds, n_i=args.ni, n_o=args.no, n_c=args.nc,
+                                  seed=args.seed, betweenness_sources=args.betweenness_sources)
         rows = []
         for i, row in enumerate(trace.rows):
             rows.append([i, row.operation, row.truss_size] +
@@ -300,7 +297,7 @@ def _add_run_flags(p: argparse.ArgumentParser, *, with_method: bool = True) -> N
         p.add_argument("--method", default="BM", choices=[m.value for m in Method])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1,
-                   help="must be >= 1; evaluation runs on one thread, so speed and results never change")
+                   help="must be >= 1; the search runs on one thread, so speed and results never change")
     p.add_argument("--stable-output", action="store_true",
                    help="zero wall-clock fields for byte-comparable output")
     p.add_argument("--out", default=None, help="write output here instead of stdout")
@@ -371,6 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ValueError("--threads must be at least 1")
         return args.func(args)
     except ParseError as exc:
         print(f"error: PARSE {exc}", file=sys.stderr)

@@ -221,11 +221,6 @@ class TrussView:
         return set(self.pos)
 
     @classmethod
-    def build(cls, g: Graph, d: TrussDecomposition, k: int) -> "TrussView":
-        """Same view as :meth:`compute`; the decomposition is not needed."""
-        return cls.compute(g, k)
-
-    @classmethod
     def compute(cls, g: Graph, k: int, sup: dict[Edge, int] | None = None) -> "TrussView":
         """Peel the graph to its (k-1)-truss, then once more to its k-truss.
 

@@ -23,7 +23,7 @@ import networkx as nx
 import numpy as np
 
 from .graph import Graph, NodeId
-from .search import Method, MergerPlan, RunConfig, adaptive_search, objective
+from .search import MergerPlan, RunConfig, adaptive_search, objective
 
 
 class MetricId(str, Enum):
@@ -365,12 +365,11 @@ def greedy_improve(g: Graph, metric: MetricId | str, op: str, rounds: int,
 
 
 def correlation_study(g: Graph, k: int, rounds: int, *,
-                      n_i: int = 100, n_o: int = 50, n_c: int = 10,
-                      method: Method = Method.BM, seed: int = 0, threads: int = 1,
+                      n_i: int = 100, n_o: int = 50, n_c: int = 10, seed: int = 0,
                       betweenness_sources: int | None = None) -> StudyTrace:
     """Track the core measures while the merger search grows the k-truss.
 
-    Runs the search for ``rounds`` mergers (0 records just the baseline
+    Runs the BM search for ``rounds`` mergers (0 records just the baseline
     row), then replays the plan recording VB/EB/ER/SG/NC and the
     measured truss size per step, and correlates each measure series
     against the size series. Betweenness may subsample that many sources
@@ -380,9 +379,7 @@ def correlation_study(g: Graph, k: int, rounds: int, *,
     if rounds == 0:
         plan = MergerPlan(k=k, initial_size=objective(g, k).size)
     else:
-        cfg = RunConfig(k=k, b=rounds, n_i=n_i, n_o=n_o, n_c=n_c,
-                        method=method, seed=seed, threads=threads)
-        plan = adaptive_search(g, cfg)
+        plan = adaptive_search(g, RunConfig(k=k, b=rounds, n_i=n_i, n_o=n_o, n_c=n_c, seed=seed))
     work = g.copy()
 
     def row(label: str, size: int) -> TraceRow:

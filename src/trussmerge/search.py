@@ -1,23 +1,26 @@
 """Budgeted greedy search for node mergers that grow the k-truss.
 
-Each round peels the working graph to its (k-1)-truss and k-truss from
-edge supports carried across rounds and updated at each merged pair,
-partitions nodes, builds candidate mergers of both kinds, evaluates
-every candidate exactly, and executes the best one. Under the default BM
-method the split of the per-round candidate budget between
-inside-outside and inside-inside mergers adapts toward whichever kind
-keeps winning; EQ, II and IO pin the split instead. The remaining
-methods (random sampling, edge-count and triangle-count rankings, and
-the exhaustive naive greedy) live in :mod:`trussmerge.baselines` and are
-reachable through :func:`run_method`.
+Every method except the exhaustive NAIVE greedy runs one round loop,
+:func:`greedy_loop`; only its candidate source differs. Each round peels
+the working graph to its (k-1)-truss and k-truss from edge supports
+carried across rounds and updated at each merged pair, partitions and
+prunes nodes, asks the source for candidate mergers, evaluates every
+candidate exactly, and executes the best one. BM, EQ, II and IO share
+one source, the top inside-outside (IOM) plus the top inside-inside
+(IIM) candidates: under BM the split of the per-round candidate budget
+between the two kinds adapts toward whichever kind keeps winning, while
+EQ, II and IO pin it. Random sampling and the edge-count and
+triangle-count rankings are the sources in :mod:`trussmerge.baselines`;
+all methods are reachable through :func:`run_method`.
 """
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .candidates import (CandidateMerger, ConstraintFilter, MergerKind, ScoringContext,
                          find_iim_candidates, find_iom_candidates)
@@ -49,7 +52,6 @@ class RunConfig:
     method: Method = Method.BM
     seed: int = 0
     filter: ConstraintFilter | None = None
-    threads: int = 1           # validated only: evaluation runs on one thread
     allow_no_op: bool = True
 
     def __post_init__(self) -> None:
@@ -62,8 +64,6 @@ class RunConfig:
             raise ValueError("budget must be at least 1")
         if self.n_c < 1 or self.n_i < 1 or self.n_o < 1:
             raise ValueError("candidate counts must be at least 1")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -129,92 +129,75 @@ def adaptive_update(n_io: int, winner: MergerKind, n_c: int, b: int) -> int:
 
 
 def _initial_n_io(cfg: RunConfig) -> int:
-    if cfg.method is Method.II:
-        return 0
-    if cfg.method is Method.IO:
-        return cfg.n_c
-    return cfg.n_c // 2
+    return {Method.II: 0, Method.IO: cfg.n_c}.get(cfg.method, cfg.n_c // 2)
 
 
-@dataclass
-class RoundState:
-    """Everything one search round derives from the working graph."""
-
-    view: TrussView
-    partition: NodePartition
-    pruned: set[NodeId]
-    ctx: ScoringContext
-
-    def node_counts(self) -> tuple[int, int, int]:
-        return len(self.partition.inside), len(self.partition.outside), len(self.pruned)
-
-
-def build_round_state(work: Graph, k: int, sup: dict[Edge, int] | None = None) -> RoundState:
+def build_round_state(work: Graph, k: int, sup: dict[Edge, int] | None = None) -> ScoringContext:
     """Recompute trusses, partition and pruning; ``sup`` as in :meth:`TrussView.compute`."""
     view = TrussView.compute(work, k, sup)
     inside = view.nodes_km1
     inside_neighbors = {v: ns & inside for v, ns in work.adj.items()}
     p = NodePartition(inside, set(work.adj) - inside, inside_neighbors)
-    pruned = prune_outside_maximal(p.outside, p.inside_neighbors)
-    ctx = ScoringContext(p, view.tk_adj, view.adj_km1)
-    return RoundState(view, p, pruned, ctx)
+    return ScoringContext(view, p, prune_outside_maximal(p.outside, p.inside_neighbors))
 
 
-def evaluate_candidates(view: TrussView, cands: Sequence[CandidateMerger]) -> list[int]:
-    """Exact post-merger sizes, in candidate order."""
-    return [view.truss_size_after_merge(c.v1, c.v2) for c in cands]
+# (config, round state, the run's random source, n_io) -> the round's candidates
+CandidateSource = Callable[[RunConfig, ScoringContext, random.Random, int], list[CandidateMerger]]
 
 
-def pick_best(cands: Sequence[CandidateMerger], sizes: Sequence[int]) -> tuple[CandidateMerger, int]:
-    """Largest evaluation wins; equal sizes fall to the smallest pair ids."""
-    best = None
-    best_key = None
-    for cand, size in zip(cands, sizes):
-        key = (-size, cand.v1, cand.v2)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (cand, size)
-    assert best is not None
-    return best
+def _split_candidates(cfg: RunConfig, state: ScoringContext, rng: random.Random,
+                      n_io: int) -> list[CandidateMerger]:
+    """The top n_io IOM plus the top n_c - n_io IIM candidates."""
+    g, p = state.view.g, state.partition
+    cands: list[CandidateMerger] = []
+    if n_io > 0:
+        cands += find_iom_candidates(g, None, p, cfg.k, cfg.n_i, cfg.n_o, n_io, cfg.filter,
+                                     ctx=state)
+    if cfg.n_c - n_io > 0:
+        cands += find_iim_candidates(g, None, p, cfg.k, cfg.n_i, cfg.n_c - n_io, cfg.filter,
+                                     ctx=state)
+    return cands
 
 
-def adaptive_search(g: Graph, cfg: RunConfig) -> MergerPlan:
-    """Run the budgeted greedy loop for methods BM, EQ, II and IO."""
+def greedy_loop(g: Graph, cfg: RunConfig, source: CandidateSource, n_io: int = 0) -> MergerPlan:
+    """Run the budgeted greedy rounds on a copy of g, taking candidates from ``source``.
+
+    ``n_io`` is passed to the source and reported in every step; only BM's
+    split source moves it between rounds.
+    """
     cfg.validate()
     work = g.copy()
-    n_io = _initial_n_io(cfg)
+    rng = random.Random(cfg.seed)
+    adapt = source is _split_candidates and cfg.method is Method.BM
     sup = _supports(work.adj)
-    initial, counts = 0, None
+    initial, counts, skipped = 0, None, 0
     steps: list[MergerStep] = []
-    skipped = 0
     for rnd in range(cfg.b):
         t0 = time.perf_counter()
         state = build_round_state(work, cfg.k, sup)
         if rnd == 0:
             initial, counts = state.view.tk_size, state.node_counts()
-        cands: list[CandidateMerger] = []
-        if n_io > 0:
-            cands.extend(find_iom_candidates(work, None, state.partition, cfg.k,
-                                             cfg.n_i, cfg.n_o, n_io, cfg.filter,
-                                             pruned=state.pruned, ctx=state.ctx))
-        if cfg.n_c - n_io > 0:
-            cands.extend(find_iim_candidates(work, None, state.partition, cfg.k,
-                                             cfg.n_i, cfg.n_c - n_io, cfg.filter,
-                                             ctx=state.ctx))
+        cands = source(cfg, state, rng, n_io)
         if not cands:
             # nothing merged, so every later round would see this same graph
             skipped = cfg.b - rnd
             break
-        sizes = evaluate_candidates(state.view, cands)
-        best, best_size = pick_best(cands, sizes)
+        sizes = [state.view.truss_size_after_merge(c.v1, c.v2) for c in cands]
+        # the largest evaluation wins; equal sizes fall to the smallest pair ids
+        best, best_size = min(zip(cands, sizes), key=lambda cs: (-cs[1], cs[0].v1, cs[0].v2))
         if not cfg.allow_no_op and best_size <= state.view.tk_size:
             break
         merge_supports(work, sup, best.v1, best.v2)
         steps.append(MergerStep(best.v1, best.v2, best.kind, best_size, n_io,
                                 len(cands), time.perf_counter() - t0))
-        if cfg.method is Method.BM and rnd < cfg.b - 1:
+        if adapt:
             n_io = adaptive_update(n_io, best.kind, cfg.n_c, cfg.b)
     return MergerPlan(cfg.k, initial, tuple(steps), skipped, counts)
+
+
+def adaptive_search(g: Graph, cfg: RunConfig) -> MergerPlan:
+    """Run the greedy loop for methods BM, EQ, II and IO."""
+    return greedy_loop(g, cfg, _split_candidates, _initial_n_io(cfg))
 
 
 def run_method(g: Graph, cfg: RunConfig) -> MergerPlan:

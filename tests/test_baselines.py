@@ -73,7 +73,7 @@ def test_rd_pool_respects_pruning():
     state = build_round_state(g, 4)
     assert state.pruned == {9}
     cfg = RunConfig(k=4, n_c=36, method=Method.RD)
-    cands = _rd_candidates(cfg, state, random.Random(0))
+    cands = _rd_candidates(cfg, state, random.Random(0), 0)
     pairs = {(c.v1, c.v2) for c in cands}
     assert len(pairs) == len(cands) == 36  # 28 inside pairs + 8 * 1 outside
     inside = state.partition.inside

@@ -96,7 +96,7 @@ def test_maximize_stable_output_is_byte_identical(graph_a_file, tmp_path):
     assert out1.read_bytes() == out2.read_bytes() == out8.read_bytes()
 
 
-@pytest.mark.parametrize("method", ["BM", "RD", "NE"])
+@pytest.mark.parametrize("method", ["BM", "EQ", "II", "IO", "RD", "NE", "NT"])
 def test_maximize_builds_one_view_per_round(graph_a_file, tmp_path, monkeypatch, method):
     calls = []
     real = TrussView.compute.__func__
@@ -151,6 +151,12 @@ def test_compare_grid(graph_a_file, capsys):
         ("4", "BM", "1"), ("4", "RD", "3"), ("5", "BM", "1"), ("5", "RD", "3")]
     assert all(c[3] == "11" for c in cells[:2])
     assert all(c[6] == "0" for c in cells)
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_compare_rejects_trials_below_one(graph_a_file, trials, capsys):
+    assert main(["compare", graph_a_file, "--k", "4", "--methods", "RD", "--trials", trials]) == 1
+    assert capsys.readouterr().err == "error: DOMAIN --trials must be at least 1\n"
 
 
 def test_robustness_study_dataset_mode(er_file, capsys):
@@ -263,6 +269,21 @@ def test_bad_domain_values(graph_a_file, capsys):
     assert capsys.readouterr().err.startswith("error: DOMAIN")
     assert main(["maximize", graph_a_file, "--k", "2"]) == 1
     assert capsys.readouterr().err.startswith("error: DOMAIN")
+
+
+@pytest.mark.parametrize("argv", [
+    ["maximize", "GRAPH", "--k", "4"],
+    ["compare", "GRAPH", "--k", "4"],
+    ["robustness-study", "--model", "er", "--metric", "NC", "--op", "merge"],
+    ["robustness-study", "--dataset", "GRAPH", "--k", "4", "--rounds", "0"],
+], ids=["maximize", "compare", "robustness-model", "robustness-dataset"])
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_is_rejected(graph_a_file, tmp_path, argv, threads, capsys):
+    out = tmp_path / "out.txt"
+    argv = [graph_a_file if a == "GRAPH" else a for a in argv]
+    assert main(argv + ["--threads", threads, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: DOMAIN --threads must be at least 1\n"
+    assert not out.exists()
 
 
 def test_naive_is_guarded_on_large_graphs(tmp_path, capsys):

@@ -113,18 +113,6 @@ def test_truss_subgraph_preserves_labels():
     assert sub.node_of("4") == g.node_of("4")
 
 
-def test_view_compute_matches_build(rng):
-    for _ in range(30):
-        g = random_graph(rng, rng.randint(3, 16), rng.uniform(0.2, 0.7))
-        k = rng.randint(3, 5)
-        via_decomp = TrussView.build(g, truss_decompose(g), k)
-        via_cascade = TrussView.compute(g, k)
-        assert via_cascade.nodes_km1 == via_decomp.nodes_km1
-        assert via_cascade.tk_size == via_decomp.tk_size
-        assert via_cascade.shell == via_decomp.shell
-        assert via_cascade.tk_adj == via_decomp.tk_adj
-
-
 def test_view_compute_matches_decomposition(rng):
     for _ in range(30):
         g = random_graph(rng, rng.randint(3, 16), rng.uniform(0.2, 0.8))
@@ -224,8 +212,6 @@ def test_view_rejects_small_k():
     g = graph_a()
     with pytest.raises(ValueError):
         TrussView.compute(g, 2)
-    with pytest.raises(ValueError):
-        TrussView.build(g, truss_decompose(g), 2)
 
 
 def test_frozen_post_merger_sizes():

@@ -1,7 +1,7 @@
 """Frozen plans on an email-scale graph.
 
 The other frozen traces use 9- to 60-node graphs. This pins the BM, EQ,
-NE, NT and RD plans on a ~1k-node, ~15k-edge graph, where candidate
+II, IO, NE, NT and RD plans on a ~1k-node, ~15k-edge graph, where candidate
 pools are full and scoring shortcuts get exercised at realistic sizes.
 """
 
@@ -18,11 +18,15 @@ COMMUNITIES = ((45, 0.8), (35, 0.85), (30, 0.9))
 FROZEN_PLANS = {
     (5, "BM"): (6250, [(2, 37, 6659), (2, 71, 7104)]),
     (5, "EQ"): (6250, [(2, 37, 6659), (2, 71, 7104)]),
+    (5, "II"): (6250, [(2, 37, 6659), (2, 71, 7104)]),
+    (5, "IO"): (6250, [(3, 802, 6345), (3, 765, 6450)]),
     (5, "NE"): (6250, [(98, 802, 6292), (98, 650, 6338)]),
     (5, "NT"): (6250, [(2, 37, 6659), (2, 71, 7104)]),
     (5, "RD"): (6250, [(35, 47, 6371), (123, 339, 6410)]),
     (10, "BM"): (1714, [(32, 667, 1815), (12, 25, 1858)]),
     (10, "EQ"): (1714, [(32, 667, 1815), (12, 25, 1858)]),
+    (10, "II"): (1714, [(32, 667, 1815), (23, 96, 1855)]),
+    (10, "IO"): (1714, [(96, 10, 1808), (41, 5, 1845)]),
     (10, "NE"): (1714, [(11, 33, 1790), (1, 3, 1875)]),
     (10, "NT"): (1714, [(104, 3, 1795), (41, 33, 1841)]),
     (10, "RD"): (1714, [(15, 196, 1727), (26, 37, 1813)]),
