@@ -3,13 +3,15 @@
 
 Every workload in ``BENCHMARK.json`` runs once per seed with ``--trace 0``
 in a fresh process, for the benchmark's ``run_seconds``, then once more
-with ``--trace 1`` on seed 1 for its per-layer record. The file
-holds the git revision, the machine, every run's end-to-end metrics and
-their per-workload medians and quartiles. With ``--baseline DIR`` every
-run is paired with the same run in another checkout (for example the
-parent commit), alternating which side goes first, and a second file
-``BENCH_<baseline-label>.json`` is written for that side; the first file
-then also counts the pairs each side won. Example:
+with ``--trace 1`` on seed 1 for its per-layer record. Last, the tier-1
+test suite runs once, with its wall seconds and passed/failed counts
+recorded. The file holds the git revision, the machine, every run's
+end-to-end metrics and their per-workload medians and quartiles. With
+``--baseline DIR`` every run is paired with the same run in another
+checkout (for example the parent commit), alternating which side goes
+first, and a second file ``BENCH_<baseline-label>.json`` is written for
+that side; the first file then also counts the pairs each side won.
+Example:
 
     python3 scripts/bench.py --label new --seeds 1-3 \\
         --baseline ../parent --baseline-label parent
@@ -19,14 +21,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 END_TO_END = ("setup_s", "wall_s", "peak_rss_mb")
 TRACE_SEED = 1
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -54,8 +60,25 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -
             "failed": result["failed"], "attempted": result["attempted"], "metrics": metrics}
 
 
+def run_tier1(root: Path) -> dict:
+    """The tier-1 suite once, with ``src`` on the path: wall seconds and outcome counts."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)}
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=root, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - started
+    summary = next((line.strip("= ") for line in reversed(proc.stdout.splitlines())
+                    if re.search(r" in [\d.]+s", line)), "")
+    counts = {k: int(v) for v, k in re.findall(r"(\d+) (passed|failed|errors?)", summary)}
+    out = {"command": " ".join(["python", *TIER1]), "wall_s": wall, "exit_code": proc.returncode,
+           "passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
+           "errors": counts.get("errors", counts.get("error", 0)), "summary": summary}
+    print(f"{root.name} tier-1: {summary} ({wall:.1f} s wall)", flush=True)
+    return out
+
+
 def summarize(root: Path, label: str, runs: dict[str, list[dict]], traced: dict[str, dict],
-              seconds: float, seeds: list[int]) -> dict:
+              tier1: dict, seconds: float, seeds: list[int]) -> dict:
     machine = next(iter(traced.values()))["machine"]
     dirty = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=root,
                            capture_output=True, text=True).stdout.strip() != ""
@@ -64,7 +87,7 @@ def summarize(root: Path, label: str, runs: dict[str, list[dict]], traced: dict[
         "src_sha256_16": machine["src_sha256_16"], "nproc": machine["nproc"],
         "cpu_model": machine["cpu_model"], "python": machine["python"],
         "seconds": seconds, "seeds": seeds, "trace_seed": TRACE_SEED,
-        "workloads": {},
+        "workloads": {}, "tier1": tier1,
     }
     for w, rs in runs.items():
         medians, quartiles = {}, {}
@@ -96,6 +119,7 @@ def compare(new: dict, base: dict) -> dict:
                       "baseline_median": bw["median"][m], "new_median": nw["median"][m],
                       "baseline_quartiles": bw["quartiles"][m]}
         out[w] = row
+    out["tier1"] = {"baseline_wall_s": base["tier1"]["wall_s"], "new_wall_s": new["tier1"]["wall_s"]}
     return out
 
 
@@ -127,8 +151,10 @@ def main(argv=None) -> int:
                 runs[label][w].append(r)
         for root, label in (sides if len(args.seeds) % 2 else sides[::-1]):
             traced[label][w] = run_once(root, w, TRACE_SEED, seconds, 1)
+    tier1 = {label: run_tier1(root) for root, label in sides[::-1]}
 
-    records = {label: summarize(root, label, runs[label], traced[label], seconds, args.seeds)
+    records = {label: summarize(root, label, runs[label], traced[label], tier1[label], seconds,
+                                args.seeds)
                for root, label in sides}
     if args.baseline is not None:
         records[args.label]["baseline"] = args.baseline_label

@@ -114,8 +114,10 @@ def _rd_candidates(cfg: RunConfig, state: ScoringContext, rng: random.Random,
         picks = rng.sample(range(total), min(cfg.n_c, total))
         chosen = [decode(i) for i in picks]
     else:
-        allowed = [decode(i) for i in range(total)]
-        allowed = [c for c in allowed if cfg.filter.allows(c[0], c[1])]
+        # the same order as decode, so sampling draws the same picks
+        allows = cfg.filter.allows
+        allowed = [(a, b, MergerKind.IIM) for a, b in combinations(inside, 2) if allows(a, b)]
+        allowed += [(a, b, MergerKind.IOM) for a in inside for b in pruned if allows(a, b)]
         if not allowed:
             return []
         chosen = rng.sample(allowed, min(cfg.n_c, len(allowed)))

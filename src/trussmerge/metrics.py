@@ -63,37 +63,53 @@ def _adjacency_matrix(g: Graph) -> np.ndarray:
     return a
 
 
-def _distance_sums(a: np.ndarray, rows: Sequence[int] | None = None) -> tuple[int, int]:
-    """(sum of d(s, t), number of pairs) over sources s and the t != s they reach.
+def _distances(a: np.ndarray, rows: Sequence[int] | None = None) -> np.ndarray:
+    """Hop distances from the source rows to every node, n where unreachable.
 
     A level-synchronous BFS from every source row at once: one 0/1
-    float32 product per level, exact because no entry exceeds n.
+    float32 product per level, exact because no entry exceeds n. The
+    narrowest unsigned type that holds 2n + 1 leaves room for one
+    min-plus step.
     """
     n = len(a)
     src = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
     a32 = a.astype(np.float32)
-    reached = np.zeros((len(src), n), dtype=bool)
-    reached[np.arange(len(src)), src] = True
-    frontier = reached
-    total = pairs = 0
+    d = np.full((len(src), n), n, dtype=np.min_scalar_type(2 * n + 1))
+    d[np.arange(len(src)), src] = 0
+    frontier = d == 0
     for depth in count(1):
-        frontier = (frontier.astype(np.float32) @ a32 > 0) & ~reached
-        found = int(np.count_nonzero(frontier))
-        if not found:
+        frontier = (frontier.astype(np.float32) @ a32 > 0) & (d == n)
+        if not frontier.any():
             break
-        total += depth * found
-        pairs += found
-        reached |= frontier
-    return total, pairs
+        d[frontier] = depth
+    return d
+
+
+def _reached(d: np.ndarray, axis=None) -> tuple[np.ndarray, np.ndarray]:
+    """(sum, count) of the finite entries of distance arrays over ``axis``."""
+    near = d < d.shape[-1]
+    return np.where(near, d, 0).sum(axis=axis, dtype=np.int64), near.sum(axis=axis, dtype=np.int64)
+
+
+def _from_sums(metric: MetricId, total: int, pairs: int, n: int, m: int) -> float:
+    """VB, EB or AD from the distance sum and count over reachable ordered pairs.
+
+    A shortest s-t path has d - 1 inner nodes and d edges, so the
+    dependencies of source s sum to sum_t (d(s, t) - 1) over nodes and
+    sum_t d(s, t) over edges; halved, as each pair is seen from both ends.
+    """
+    if metric is MetricId.VB:
+        return (total - pairs) / 2.0 / n if n else 0.0
+    if metric is MetricId.EB:
+        return total / 2.0 / m if m else 0.0
+    return total / pairs if pairs else 0.0
 
 
 def _betweenness(a: np.ndarray, rows: Sequence[int] | None = None) -> tuple[float, float]:
-    # a shortest s-t path has d - 1 inner nodes and d edges, so the
-    # dependencies of source s sum to sum_t (d(s, t) - 1) over nodes and
-    # sum_t d(s, t) over edges; halved, as each pair is seen from both ends
-    n, m = len(a), int(a.sum()) // 2
-    total, pairs = _distance_sums(a, rows)
-    return ((total - pairs) / 2.0 / n) if n else 0.0, (total / 2.0 / m) if m else 0.0
+    d = _distances(a, rows)
+    total, found = (int(x) for x in _reached(d))
+    n, m, pairs = len(a), int(a.sum()) // 2, found - len(d)
+    return (_from_sums(MetricId.VB, total, pairs, n, m), _from_sums(MetricId.EB, total, pairs, n, m))
 
 
 def betweenness_profile(g: Graph, sources: Sequence[NodeId] | None = None) -> tuple[float, float]:
@@ -118,7 +134,7 @@ def avg_edge_betweenness(g: Graph, *, sources: int | None = None, seed: int = 0)
 
 
 def _connected(a: np.ndarray) -> bool:
-    return len(a) <= 1 or _distance_sums(a, [0])[1] == len(a) - 1
+    return len(a) <= 1 or bool((_distances(a, [0]) < len(a)).all())
 
 
 def is_connected(g: Graph) -> bool:
@@ -161,8 +177,8 @@ def natural_connectivity(g: Graph) -> float:
 
 
 def _average_distance(a: np.ndarray) -> float:
-    total, pairs = _distance_sums(a)
-    return total / pairs if pairs else 0.0
+    total, found = (int(x) for x in _reached(_distances(a)))
+    return _from_sums(MetricId.AD, total, found - len(a), len(a), 0)
 
 
 def average_distance(g: Graph) -> float:
@@ -325,12 +341,89 @@ def candidate_matrices(a: np.ndarray, op: str) -> Iterator[tuple[int, int, np.nd
         yield i, j, b
 
 
+# distance entries scored per batch of closed-form candidates
+_BATCH = 1 << 16
+
+
+def _distance_scores(a: np.ndarray, metric: MetricId, op: str) -> Iterator[tuple[int, int, float]]:
+    """VB, EB or AD of every candidate edit from one all-pairs distance matrix.
+
+    Adding (i, j) gives d'(s, t) = min(d(s, t), d(s, i) + 1 + d(j, t),
+    d(s, j) + 1 + d(i, t)). Merging j into i gives d'(s, t) =
+    min(d(s, t), r_s + r_t) with r = min(d(., i), d(., j)), on n - 1
+    nodes and m - |N(i) & N(j)| - [i ~ j] edges. Sums stay integers, so
+    every value equals the one ``MATRIX_FUNCS`` gives on the edited matrix.
+    """
+    n, m = len(a), int(a.sum()) // 2
+    d = _distances(a)
+    pairs_i, pairs_j = np.triu_indices(n, 1)
+    if op != "merge":
+        absent = a[pairs_i, pairs_j] == 0
+        pairs_i, pairs_j = pairs_i[absent], pairs_j[absent]
+    common = (a @ a).astype(np.int64)
+    step = max(1, _BATCH // max(n * n, 1))
+    for lo in range(0, len(pairs_i), step):
+        ii, jj = pairs_i[lo:lo + step], pairs_j[lo:lo + step]
+        if op == "merge":
+            r = np.minimum(d[ii], d[jj])
+            total, found = _reached(np.minimum(d, r[:, :, None] + r[:, None, :]), (1, 2))
+            # row and column j repeat r (d'(j, t) = r_t): drop them
+            r_total, r_found = _reached(r, 1)
+            total, pairs = total - 2 * r_total, found - 2 * r_found - n + 2
+            nodes, edges = n - 1, m - common[ii, jj] - a[ii, jj].astype(np.int64)
+        else:
+            via = d[ii][:, :, None] + 1 + d[jj][:, None, :]
+            total, found = _reached(np.minimum(d, np.minimum(via, via.transpose(0, 2, 1))), (1, 2))
+            pairs, nodes, edges = found - n, n, np.full(len(jj), m + 1)
+        for i, j, t, p, e in zip(ii.tolist(), jj.tolist(), total.tolist(), pairs.tolist(), edges.tolist()):
+            yield i, j, _from_sums(metric, t, p, nodes, e)
+
+
+def _resistance_additions(a: np.ndarray) -> Iterator[tuple[int, int, float]]:
+    """Kirchhoff index after each absent edge of a connected graph.
+
+    With X = L+ and b = e_i - e_j, Sherman-Morrison gives
+    Kf' = n (tr X - b'X^2 b / (1 + b'X b)) (Ghosh, Boyd & Saberi 2008).
+    """
+    n = len(a)
+    x = np.linalg.inv(np.diag(a.sum(axis=1)) - a + 1.0 / n) - 1.0 / n
+    x2 = x @ x
+
+    def quad(y: np.ndarray) -> np.ndarray:
+        return np.diag(y)[:, None] + np.diag(y)[None, :] - 2 * y
+
+    kf = n * (np.trace(x) - quad(x2) / (1.0 + quad(x)))
+    for i, j in combinations(range(n), 2):
+        if not a[i, j]:
+            yield i, j, float(kf[i, j])
+
+
+def candidate_scores(a: np.ndarray, metric: MetricId | str, op: str) -> Iterator[tuple[int, int, float]]:
+    """(i, j, measure) for each ``candidate_matrices`` edit on which it is defined.
+
+    Same order as ``candidate_matrices``. VB/EB/AD, and ER additions to
+    a connected graph, are scored in closed form from one per-call
+    matrix; the rest score each edited matrix with ``MATRIX_FUNCS``.
+    """
+    metric = MetricId(metric)
+    if metric in (MetricId.VB, MetricId.EB, MetricId.AD):
+        yield from _distance_scores(a, metric, op)
+    elif metric is MetricId.ER and op == "add_edge" and len(a) > 1 and _connected(a):
+        yield from _resistance_additions(a)
+    else:
+        for i, j, b in candidate_matrices(a, op):
+            try:
+                yield i, j, MATRIX_FUNCS[metric](b)
+            except ValueError:
+                continue
+
+
 def greedy_improve(g: Graph, metric: MetricId | str, op: str, rounds: int,
                    record: Sequence[MetricId] = tuple(MetricId)) -> StudyTrace:
     """Exhaustive greedy on one measure by merging or adding edges.
 
-    Each round scores the target measure on an edited adjacency matrix
-    for every node pair (merge) or every absent edge (add_edge), applies
+    Each round scores the target measure (``candidate_scores``) for
+    every node pair (merge) or every absent edge (add_edge), applies
     the best candidate even if it does not improve, and records all
     requested measures. Candidates on which the measure is undefined are
     skipped; exact ties go to the first pair in ``combinations`` order.
@@ -339,16 +432,11 @@ def greedy_improve(g: Graph, metric: MetricId | str, op: str, rounds: int,
     if op not in ("merge", "add_edge"):
         raise ValueError(f"op must be 'merge' or 'add_edge', not {op!r}")
     sign = METRIC_DIRECTION[metric]
-    score = MATRIX_FUNCS[metric]
     work = g.copy()
     rows = [TraceRow("baseline", compute_metrics(work, record))]
     for _ in range(rounds):
         best = best_val = None
-        for i, j, cand in candidate_matrices(_adjacency_matrix(work), op):
-            try:
-                val = score(cand)
-            except ValueError:
-                continue
+        for i, j, val in candidate_scores(_adjacency_matrix(work), metric, op):
             if best_val is None or sign * val > sign * best_val:
                 best = (i, j)
                 best_val = val

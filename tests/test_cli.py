@@ -1,13 +1,15 @@
 """Command-line behavior: formats, error codes, output stability."""
 
 import csv
+import hashlib
 import io
 import json
+import random
 
 import pytest
 
 from trussmerge import (FixtureSpec, Graph, Method, RunConfig, TrussView, gen_er,
-                        hardness_fixture, nonsubmodularity_witness, objective,
+                        gen_hk, hardness_fixture, nonsubmodularity_witness, objective,
                         run_method)
 from trussmerge.cli import main
 
@@ -136,6 +138,30 @@ def test_maximize_distance_filter_excludes_far_pairs(graph_a_file, tmp_path):
     assert report["plan"]["rounds"]
     for r in report["plan"]["rounds"]:
         assert "0" not in (r["v1"], r["v2"])
+
+
+# RD with a distance filter on gen_hk(120, 4, 0.6, 3), k=5, b=5, n_c=6,
+# seed 4: the rounds and the report digest of the code that decoded the
+# whole pool index by index
+FILTERED_RD_ROUNDS = [("38", "44", "IOM", 38), ("101", "12", "IIM", 42), ("7", "117", "IOM", 46),
+                      ("4", "94", "IOM", 47), ("7", "43", "IOM", 51)]
+FILTERED_RD_SHA256 = "ff046b8ad7e89394307716585e1fb3cdbea500e5975c8c11c69dd162e4a5f2f5"
+
+
+def test_filtered_rd_report_is_frozen(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_edges(tmp_path / "g.txt", gen_hk(120, 4, 0.6, 3).labeled_edges())
+    rng = random.Random(5)
+    (tmp_path / "coords.txt").write_text(
+        "".join(f"{v} {rng.uniform(0, 1):.4f} {rng.uniform(0, 1):.4f}\n" for v in range(120)),
+        encoding="utf-8")
+    assert main(["maximize", "g.txt", "--k", "5", "--budget", "5", "--nc", "6", "--method", "RD",
+                 "--seed", "4", "--coords", "coords.txt", "--dist-threshold", "40",
+                 "--stable-output", "--out", "rep.json"]) == 0
+    data = (tmp_path / "rep.json").read_bytes()
+    rounds = json.loads(data)["plan"]["rounds"]
+    assert [(r["v1"], r["v2"], r["kind"], r["size"]) for r in rounds] == FILTERED_RD_ROUNDS
+    assert hashlib.sha256(data).hexdigest() == FILTERED_RD_SHA256
 
 
 def test_compare_grid(graph_a_file, capsys):

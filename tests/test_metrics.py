@@ -18,7 +18,7 @@ from trussmerge import (Graph, MetricId, METRIC_DIRECTION, average_distance,
                         transitivity)
 
 from trussmerge.metrics import (MATRIX_FUNCS, METRIC_FUNCS, _adjacency_matrix,
-                                candidate_matrices)
+                                candidate_matrices, candidate_scores)
 
 import oracles as orc
 from conftest import gnp_edges
@@ -144,17 +144,56 @@ def test_candidate_matrices_match_graph_edits(op, n, p, seed):
 
 
 def test_greedy_exact_ties_go_to_first_pair():
+    # C6 is vertex-transitive, so every best edit has tied rotations
     c6 = Graph.from_edges([(i, (i + 1) % 6) for i in range(6)])
-    values = {}
-    for u, v in combinations(c6.nodes(), 2):
-        if not c6.has_edge(u, v):
-            values[(u, v)] = avg_vertex_betweenness(_edited_graph(c6, "add_edge", u, v))
-    best = min(values.values())
-    tied = [pair for pair, val in values.items() if val == best]
-    assert len(tied) >= 2
-    trace = greedy_improve(c6, MetricId.VB, "add_edge", 1)
-    assert trace.rows[1].operation == "add_edge({},{})".format(*tied[0])
-    assert trace.rows[1].values[MetricId.VB.value] == best
+    for metric, op in ((MetricId.VB, "add_edge"), (MetricId.EB, "merge"), (MetricId.AD, "merge")):
+        values = {}
+        for u, v in combinations(c6.nodes(), 2):
+            if op == "merge" or not c6.has_edge(u, v):
+                values[(u, v)] = METRIC_FUNCS[metric](_edited_graph(c6, op, u, v))
+        best = min(values.values())
+        tied = [pair for pair, val in values.items() if val == best]
+        assert len(tied) >= 2
+        trace = greedy_improve(c6, metric, op, 1)
+        assert trace.rows[1].operation == "{}({},{})".format(op, *tied[0])
+        assert trace.rows[1].values[metric.value] == best
+
+
+def _scoring_cases() -> list[Graph]:
+    path = [(0, 1), (1, 2)]
+    cases = [Graph.from_edges([], nodes=range(n)) for n in range(4)]
+    cases += [Graph.from_edges([(0, 1)]), Graph.from_edges(path),
+              Graph.from_edges(path + [(0, 2)]), Graph.from_edges([(0, 1)], nodes=range(3)),
+              Graph.from_edges(list(combinations(range(6), 2))),
+              Graph.from_edges(path + [(2, 3), (3, 0)], nodes=range(7)),
+              Graph.from_edges(path + [(0, 2), (3, 4), (4, 5), (5, 6), (6, 3)]),
+              Graph.from_edges([(0, 1), (2, 3)])]
+    cases += [gen_er(n, p, seed) for n, p, seed in
+              [(8, 0.5, 1), (9, 0.3, 2), (10, 0.2, 3), (11, 0.4, 4), (12, 0.15, 5), (12, 0.6, 6),
+               (13, 0.25, 7), (14, 0.1, 8), (15, 0.3, 9), (16, 0.2, 10), (18, 0.12, 11),
+               (20, 0.2, 12)]]
+    return cases
+
+
+@pytest.mark.parametrize("op", ["merge", "add_edge"])
+@pytest.mark.parametrize("metric", list(MetricId))
+def test_candidate_scores_match_candidate_matrices(metric, op):
+    for g in _scoring_cases():
+        a = _adjacency_matrix(g)
+        want = []
+        for i, j, b in candidate_matrices(a, op):
+            try:
+                want.append((i, j, MATRIX_FUNCS[metric](b)))
+            except ValueError:
+                continue
+        got = list(candidate_scores(a, metric, op))
+        assert [(i, j) for i, j, _ in got] == [(i, j) for i, j, _ in want]
+        values = [v for _, _, v in got]
+        if metric is MetricId.ER and op == "add_edge":
+            # Sherman-Morrison against a fresh spectrum; VB/EB/AD are exact integers
+            assert values == pytest.approx([v for _, _, v in want], rel=1e-9, abs=1e-12)
+        else:
+            assert values == [v for _, _, v in want]
 
 
 def test_effective_resistance_matches_pinv_oracle(rng):
