@@ -5,7 +5,9 @@ Every workload in ``BENCHMARK.json`` runs once per seed with ``--trace 0``
 in a fresh process, for the benchmark's ``run_seconds``, then once more
 with ``--trace 1`` on seed 1 for its per-layer record. Last, the tier-1
 test suite runs once, with its wall seconds and passed/failed counts
-recorded. The file holds the git revision, the machine, every run's
+recorded. The file holds the git revision, the size of the package
+source (its digest and ``src_lines``, the newline count of
+``src/trussmerge/*.py`` as ``wc -l`` gives it), the machine, every run's
 end-to-end metrics and their per-workload medians and quartiles. With
 ``--baseline DIR`` every run is paired with the same run in another
 checkout (for example the parent commit), alternating which side goes
@@ -82,9 +84,10 @@ def summarize(root: Path, label: str, runs: dict[str, list[dict]], traced: dict[
     machine = next(iter(traced.values()))["machine"]
     dirty = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=root,
                            capture_output=True, text=True).stdout.strip() != ""
+    src_lines = sum(p.read_bytes().count(b"\n") for p in (root / "src" / "trussmerge").glob("*.py"))
     out = {
         "label": label, "git_revision": machine["git_revision"], "src_uncommitted": dirty,
-        "src_sha256_16": machine["src_sha256_16"], "nproc": machine["nproc"],
+        "src_sha256_16": machine["src_sha256_16"], "src_lines": src_lines, "nproc": machine["nproc"],
         "cpu_model": machine["cpu_model"], "python": machine["python"],
         "seconds": seconds, "seeds": seeds, "trace_seed": TRACE_SEED,
         "workloads": {}, "tier1": tier1,

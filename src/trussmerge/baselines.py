@@ -1,16 +1,16 @@
 """Reference strategies and constructed instances.
 
-Holds the exhaustive greedy (every pair, full recomputation), the three
-cheap ranking baselines (random sampling, new-edge count, new-triangle
-count), a brute-force single-merger oracle kept deliberately independent
-of the fast evaluation path, and generators for the element-coverage
-gadget graphs used to probe worst-case behavior of the objective.
+Holds the candidate sources of the exhaustive greedy (every pair, each
+evaluated exactly) and of the three cheap ranking baselines (random
+sampling, new-edge count, new-triangle count), a brute-force
+single-merger oracle kept deliberately independent of the fast
+evaluation path, and generators for the element-coverage gadget graphs
+used to probe worst-case behavior of the objective.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
@@ -21,7 +21,7 @@ from .decomposition import truss_decompose
 from .graph import Graph, NodeId
 # build_round_state is not called here: the tracer in perfbench/tracing.py
 # looks it up in this module, as in cli and search, to span round-state builds
-from .search import MergerPlan, MergerStep, RunConfig, build_round_state, greedy_loop  # noqa: F401
+from .search import Method, MergerPlan, RunConfig, build_round_state, greedy_loop  # noqa: F401
 
 BRUTE_FORCE_NODE_LIMIT = 200
 
@@ -59,33 +59,25 @@ def brute_force_best_merger(g: Graph, k: int, pairs: Iterable[Pair] | None = Non
     return best_pair, best_size
 
 
-def naive_greedy(g: Graph, k: int, b: int) -> MergerPlan:
-    """Greedy over all node pairs with full re-evaluation each round.
+def _naive_candidates(cfg: RunConfig, state: ScoringContext, rng: random.Random,
+                      n_io: int) -> list[CandidateMerger]:
+    """Every admitted pair of the working graph; the loop evaluates each one exactly."""
+    g = state.view.g
+    if g.node_count > BRUTE_FORCE_NODE_LIMIT:
+        raise ValueError(f"the exhaustive greedy is limited to {BRUTE_FORCE_NODE_LIMIT} nodes")
+    return [CandidateMerger(u, v, None, 0) for u, v in combinations(g.nodes(), 2)
+            if cfg.filter is None or cfg.filter.allows(u, v)]
 
-    The cost is quadratic in nodes with a full decomposition per pair,
-    so this is only usable on small graphs (same guard as the oracle).
-    """
-    if b < 1:
-        raise ValueError("budget must be at least 1")
-    d = truss_decompose(g)
-    initial = sum(1 for t in d.edge_trussness.values() if t >= k)
-    work = g.copy()
-    steps: list[MergerStep] = []
-    for _ in range(b):
-        if work.node_count < 2:
-            break
-        t0 = time.perf_counter()
-        evaluated = work.node_count * (work.node_count - 1) // 2
-        (v1, v2), size = brute_force_best_merger(work, k)
-        work._merge_inplace(v1, v2)
-        steps.append(MergerStep(v1, v2, None, size, 0, evaluated, time.perf_counter() - t0))
-    return MergerPlan(k, initial, tuple(steps))
+
+def naive_greedy(g: Graph, k: int, b: int) -> MergerPlan:
+    """Greedy over all node pairs, each evaluated exactly (same guard as the oracle)."""
+    return _baseline_loop(g, RunConfig(k=k, b=b, method=Method.NAIVE), _naive_candidates)
 
 
 def _baseline_loop(g: Graph, cfg: RunConfig, make_candidates) -> MergerPlan:
     """The shared greedy loop with a baseline's candidate source; ``n_io`` stays 0.
 
-    Every RD, NE and NT run enters here, so a trace spans each one once.
+    Every RD, NE, NT and NAIVE run enters here, so a trace spans each one once.
     """
     return greedy_loop(g, cfg, make_candidates)
 

@@ -40,7 +40,7 @@ class CandidateMerger:
 
     v1: NodeId
     v2: NodeId
-    kind: MergerKind
+    kind: MergerKind | None
     score: int
     tiebreak: int = 0
 

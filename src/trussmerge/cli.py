@@ -25,7 +25,8 @@ from .decomposition import k_truss_edges, truss_decompose
 from .graph import Graph, ParseError
 from .metrics import (MetricId, correlation_study, gen_er, gen_hk, gen_ws,
                       greedy_improve)
-from .search import Method, MergerPlan, RunConfig, build_round_state, run_method
+# build_round_state is not called here: perfbench/tracing.py looks it up in this module
+from .search import Method, MergerPlan, RunConfig, build_round_state, run_method  # noqa: F401
 
 SCHEMA_VERSION = 1
 CSV_METRICS = [m.value for m in MetricId]
@@ -97,6 +98,9 @@ def _fmt(x) -> str:
 def _constraint_filter(g: Graph, coords_path: str | None, threshold: float | None) -> ConstraintFilter | None:
     if coords_path is None and threshold is None:
         return None
+    if threshold is not None and not (threshold >= 0 and coords_path):
+        # NaN, a negative radius or no coordinates would reject every pair
+        raise ValueError("--dist-threshold needs --coords and a radius >= 0 km")
     by_id: dict[int, tuple[float, float]] = {}
     if coords_path:
         with open(coords_path, encoding="utf-8") as fh:
@@ -169,8 +173,7 @@ def cmd_maximize(args) -> int:
     start = time.perf_counter()
     plan = run_method(g, cfg)
     total = time.perf_counter() - start
-    # the exhaustive greedy builds no round state, so it has no counts to carry
-    inside, outside, pruned = plan.node_counts or build_round_state(g, cfg.k).node_counts()
+    inside, outside, pruned = plan.node_counts
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "trussmerge", "version": __version__},

@@ -1,17 +1,18 @@
 """Budgeted greedy search for node mergers that grow the k-truss.
 
-Every method except the exhaustive NAIVE greedy runs one round loop,
-:func:`greedy_loop`; only its candidate source differs. Each round peels
-the working graph to its (k-1)-truss and k-truss from edge supports
-carried across rounds and updated at each merged pair, partitions and
-prunes nodes, asks the source for candidate mergers, evaluates every
-candidate exactly, and executes the best one. BM, EQ, II and IO share
-one source, the top inside-outside (IOM) plus the top inside-inside
-(IIM) candidates: under BM the split of the per-round candidate budget
-between the two kinds adapts toward whichever kind keeps winning, while
-EQ, II and IO pin it. Random sampling and the edge-count and
-triangle-count rankings are the sources in :mod:`trussmerge.baselines`;
-all methods are reachable through :func:`run_method`.
+Every method runs one round loop, :func:`greedy_loop`; only its
+candidate source differs. Each round peels the working graph to its
+(k-1)-truss and k-truss from edge supports carried across rounds and
+updated at each merged pair, partitions and prunes nodes, asks the
+source for candidate mergers, evaluates every candidate exactly, and
+executes the best one. BM, EQ, II and IO share one source, the top
+inside-outside (IOM) plus the top inside-inside (IIM) candidates: under
+BM the split of the per-round candidate budget between the two kinds
+adapts toward whichever kind keeps winning, while EQ, II and IO pin it.
+Random sampling, the edge-count and triangle-count rankings, and
+NAIVE's every pair, each evaluated exactly, are the sources in
+:mod:`trussmerge.baselines`; all methods are reachable through
+:func:`run_method`.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class Method(str, Enum):
     RD = "RD"          # uniform random candidate sampling
     NE = "NE"          # rank by new inside edges
     NT = "NT"          # rank by new inside triangles
-    NAIVE = "NAIVE"    # exhaustive full-evaluation greedy
+    NAIVE = "NAIVE"    # every pair, each evaluated exactly
 
 
 @dataclass(frozen=True)
@@ -213,4 +214,4 @@ def run_method(g: Graph, cfg: RunConfig) -> MergerPlan:
         return baselines.baseline_ne(g, cfg)
     if cfg.method is Method.NT:
         return baselines.baseline_nt(g, cfg)
-    return baselines.naive_greedy(g, cfg.k, cfg.b)
+    return baselines._baseline_loop(g, cfg, baselines._naive_candidates)

@@ -56,6 +56,30 @@ def test_naive_greedy_frozen_trace():
     assert [s.evaluated for s in plan.steps] == [36, 28]
     with pytest.raises(ValueError):
         naive_greedy(g, 4, 0)
+    with pytest.raises(ValueError, match="200"):
+        naive_greedy(gen_er(210, 0.02, 0), 3, 1)
+
+
+def test_naive_greedy_matches_brute_force_each_round():
+    # every n in 2..20 at every k in 3..5; graphs with 2 or 3 nodes run
+    # out of pairs within the budget, so their plans report skipped rounds
+    rng = random.Random(31)
+    b, ran_out = 3, 0
+    for case in range(57):
+        n, k = 2 + case % 19, 3 + case % 3
+        g = Graph.from_edges(gnp_edges(rng, n, rng.uniform(0.2, 0.8)), nodes=range(n))
+        work, want = g.copy(), []
+        while len(want) < b and work.node_count >= 2:
+            evaluated = work.node_count * (work.node_count - 1) // 2
+            (v1, v2), size = brute_force_best_merger(work, k)
+            work._merge_inplace(v1, v2)
+            want.append((v1, v2, None, size, evaluated))
+        plan = naive_greedy(g, k, b)
+        assert plan.initial_size == objective(g, k).size
+        assert [(s.v1, s.v2, s.kind, s.size_after, s.evaluated) for s in plan.steps] == want
+        assert plan.skipped_rounds == b - len(want)
+        ran_out += len(want) < b
+    assert ran_out == 6
 
 
 def test_rd_seeding():

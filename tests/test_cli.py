@@ -98,7 +98,7 @@ def test_maximize_stable_output_is_byte_identical(graph_a_file, tmp_path):
     assert out1.read_bytes() == out2.read_bytes() == out8.read_bytes()
 
 
-@pytest.mark.parametrize("method", ["BM", "EQ", "II", "IO", "RD", "NE", "NT"])
+@pytest.mark.parametrize("method", ["BM", "EQ", "II", "IO", "RD", "NE", "NT", "NAIVE"])
 def test_maximize_builds_one_view_per_round(graph_a_file, tmp_path, monkeypatch, method):
     calls = []
     real = TrussView.compute.__func__
@@ -138,6 +138,59 @@ def test_maximize_distance_filter_excludes_far_pairs(graph_a_file, tmp_path):
     assert report["plan"]["rounds"]
     for r in report["plan"]["rounds"]:
         assert "0" not in (r["v1"], r["v2"])
+
+
+def test_coordinates_of_unknown_labels_are_ignored(graph_a_file, tmp_path):
+    coords = tmp_path / "coords.txt"
+    rows = ["0 40.0 0.0"] + [f"{v} 0.0 0.0" for v in range(1, 9)]
+    plans = []
+    for extra in ([], ["ghost 0.0 0.0", "99 40.0 0.0"]):
+        coords.write_text("".join(r + "\n" for r in rows + extra), encoding="utf-8")
+        out = tmp_path / "report.json"
+        assert main(maximize_args(graph_a_file, str(out), coords=str(coords),
+                                  dist_threshold=1.0)) == 0
+        plans.append(json.loads(out.read_text())["plan"])
+    assert plans[0]["rounds"] and plans[0] == plans[1]
+
+
+@pytest.mark.parametrize("extra", [
+    ["--coords", "COORDS", "--dist-threshold", "-1"],
+    ["--coords", "COORDS", "--dist-threshold", "nan"],
+    ["--dist-threshold", "1"],
+], ids=["negative", "nan", "no-coords"])
+def test_dist_threshold_out_of_domain_is_rejected(graph_a_file, tmp_path, extra, capsys):
+    coords = tmp_path / "coords.txt"
+    coords.write_text("".join(f"{v} 0.0 0.0\n" for v in range(9)), encoding="utf-8")
+    out = tmp_path / "report.json"
+    argv = ["maximize", graph_a_file, "--k", "4", "--out", str(out)]
+    assert main(argv + [str(coords) if a == "COORDS" else a for a in extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: DOMAIN --dist-threshold")
+    assert not out.exists()
+
+
+# NAIVE at k=4, b=3 (`--stable-output`, run as `maximize g.txt ... --out rep.json
+# --trace trace.csv`): digests of the report and the trace CSV from the exhaustive
+# greedy's own round loop, before it became a candidate source of the shared one
+NAIVE_GRAPHS = {"graph_a": lambda: A_EDGES,
+                "hk60": lambda: gen_hk(60, 3, 0.6, 2).labeled_edges()}
+NAIVE_SHA256 = {
+    "graph_a": ("ed161aca68fe9b94f33224b93ea7f7b42a54054685b7f8ecbf8be23b99ffd06c",
+                "11248ffbfafec50a272c540ca7d4e91d7d699c423011c2db56e4e954985841ee"),
+    "hk60": ("16766119ffedf2bcfc85b643a9880b341d62c7b13cea76516885d589aac55ee1",
+             "f56f62ec1785e44fbef7354af62f76d0016a745555c79324e0c063a8515b59bb"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAIVE_GRAPHS))
+def test_naive_report_is_frozen(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    write_edges(tmp_path / "g.txt", NAIVE_GRAPHS[name]())
+    assert main(["maximize", "g.txt", "--k", "4", "--budget", "3", "--method", "NAIVE",
+                 "--stable-output", "--out", "rep.json", "--trace", "trace.csv"]) == 0
+    digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                    for f in ("rep.json", "trace.csv"))
+    assert digests == NAIVE_SHA256[name]
 
 
 # RD with a distance filter on gen_hk(120, 4, 0.6, 3), k=5, b=5, n_c=6,
@@ -316,7 +369,29 @@ def test_naive_is_guarded_on_large_graphs(tmp_path, capsys):
     g = gen_er(210, 0.02, 0)
     path = write_edges(tmp_path / "big.txt", g.labeled_edges())
     assert main(["maximize", path, "--k", "3", "--method", "NAIVE"]) == 1
-    assert capsys.readouterr().err.startswith("error: DOMAIN")
+    err = capsys.readouterr().err
+    assert err.startswith("error: DOMAIN") and "200" in err
+
+
+@pytest.mark.parametrize("text, value", [
+    ("true", True), ("false", False), ("yes", True), ("no", False), ("1", True), ("0", False),
+    (" False ", False), ("YES", True)])
+def test_allow_no_op_accepts_boolean_spellings(graph_a_file, tmp_path, text, value):
+    out = tmp_path / "report.json"
+    assert main(maximize_args(graph_a_file, str(out), allow_no_op=text)) == 0
+    assert json.loads(out.read_text())["config"]["allow_no_op"] is value
+
+
+@pytest.mark.parametrize("argv", [
+    ["maximize", "GRAPH", "--k", "4", "--allow-no-op", "maybe"],
+    ["decompose", "GRAPH", "--k", "3,x"],
+    ["compare", "GRAPH", "--k", "3,x"],
+], ids=["allow-no-op", "decompose-k", "compare-k"])
+def test_bad_flag_values_exit_two(graph_a_file, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([graph_a_file if a == "GRAPH" else a for a in argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error: USAGE")
 
 
 def test_usage_errors_exit_two(graph_a_file, capsys):

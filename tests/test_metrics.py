@@ -327,6 +327,14 @@ def test_greedy_improve_rows():
         greedy_improve(g, MetricId.NC, "shuffle", 1)
 
 
+def test_greedy_improve_stops_when_no_candidate_is_defined():
+    # one added edge leaves three components connected by at most two, so
+    # effective resistance is undefined on every candidate
+    g = Graph.from_edges([(0, 1), (2, 3), (4, 5)])
+    trace = greedy_improve(g, MetricId.ER, "add_edge", 3)
+    assert [r.operation for r in trace.rows] == ["baseline"]
+
+
 def test_greedy_improve_merge_shrinks_distance():
     g = gen_er(20, 0.2, 4)
     trace = greedy_improve(g, MetricId.AD, "merge", 1)

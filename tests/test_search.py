@@ -2,8 +2,8 @@
 
 import pytest
 
-from trussmerge import (Graph, Method, MergerKind, RunConfig, adaptive_search,
-                        adaptive_update, gen_er, objective, run_method)
+from trussmerge import (ConstraintFilter, Graph, Method, MergerKind, RunConfig, adaptive_search,
+                        adaptive_update, gen_er, haversine_km, objective, run_method)
 from trussmerge import TrussView, baselines, search
 from trussmerge.decomposition import _supports
 from trussmerge.search import MergerPlan, MergerStep
@@ -179,6 +179,34 @@ def test_search_does_not_mutate_input():
     before = sorted(g.edge_set())
     adaptive_search(g, RunConfig(k=4, b=2, n_c=4))
     assert sorted(g.edge_set()) == before
+
+
+# a diamond (0, 1, 2, 3 with chord 1-2) and node 4 hanging off 3: at k=4
+# merging 4 into 0 makes a K4, no later merge grows it, and each method
+# runs out of pairs within a budget of 5
+DIAMOND_TAIL = Graph.from_edges([(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4)], nodes=range(5))
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_round_loop_contract_holds_for_every_method(method):
+    g, budget = DIAMOND_TAIL, 5
+    plan = run_method(g, RunConfig(k=4, b=budget, method=method))
+    assert len(plan.steps) + plan.skipped_rounds == budget
+    assert plan.skipped_rounds > 0
+    # without no-ops the plan is the growing prefix of the same greedy choices
+    grows, size = 0, plan.initial_size
+    while grows < len(plan.steps) and plan.steps[grows].size_after > size:
+        size = plan.steps[grows].size_after
+        grows += 1
+    strict = run_method(g, RunConfig(k=4, b=budget, method=method, allow_no_op=False))
+    assert steps_sans_time(strict) == steps_sans_time(plan)[:grows]
+    # node 4 lies about 4450 km from the rest
+    coords = {v: (0.0, 0.0) for v in range(4)} | {4: (40.0, 0.0)}
+    near = run_method(g, RunConfig(k=4, b=budget, method=method,
+                                   filter=ConstraintFilter(coords, 1.0)))
+    assert len(near.steps) + near.skipped_rounds == budget
+    for s in near.steps:
+        assert haversine_km(coords[s.v1], coords[s.v2]) <= 1.0
 
 
 def test_run_method_dispatch_and_naive_guard():
