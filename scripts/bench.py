@@ -111,7 +111,7 @@ def summarize(root: Path, label: str, runs: dict[str, list[dict]], traced: dict[
 
 
 def compare(new: dict, base: dict) -> dict:
-    """Per workload and metric: pairs where the new side is lower, and both medians."""
+    """Per workload and metric: pairs won by each side (ties count for neither), and both medians."""
     out = {}
     for w, nw in new["workloads"].items():
         bw = base["workloads"][w]
@@ -119,6 +119,7 @@ def compare(new: dict, base: dict) -> dict:
         for m in END_TO_END:
             pairs = [(b[m], n[m]) for b, n in zip(bw["runs"], nw["runs"])]
             row[m] = {"pairs": len(pairs), "new_lower": sum(n < b for b, n in pairs),
+                      "new_higher": sum(n > b for b, n in pairs),
                       "baseline_median": bw["median"][m], "new_median": nw["median"][m],
                       "baseline_quartiles": bw["quartiles"][m]}
         out[w] = row

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .candidates import (CandidateMerger, MergerKind, ScoringContext, iim_pool, iom_pool,
-                         top_candidates, top_inside_from_ctx)
+from .candidates import (CandidateMerger, MergerKind, ScoringContext, _bits, iim_pool, iom_pool,
+                         top_candidates)
 from .decomposition import truss_decompose
 from .graph import Graph, NodeId
 # build_round_state is not called here: the tracer in perfbench/tracing.py
@@ -24,6 +24,11 @@ from .graph import Graph, NodeId
 from .search import Method, MergerPlan, RunConfig, build_round_state, greedy_loop  # noqa: F401
 
 BRUTE_FORCE_NODE_LIMIT = 200
+
+# node labels of the element-coverage gadget
+T_LABEL = "t{j}_{p}_{side}"
+S_LABEL = "s{i}_{side}"
+R_LABEL = "r{q}"
 
 Pair = tuple[NodeId, NodeId]
 
@@ -84,7 +89,7 @@ def _baseline_loop(g: Graph, cfg: RunConfig, make_candidates) -> MergerPlan:
 
 def _rd_candidates(cfg: RunConfig, state: ScoringContext, rng: random.Random,
                   n_io: int) -> list[CandidateMerger]:
-    inside = sorted(state.partition.inside)
+    inside = state.order
     pruned = sorted(state.pruned)
     ni, no = len(inside), len(pruned)
     n_ii = ni * (ni - 1) // 2
@@ -138,19 +143,12 @@ def baseline_ne(g: Graph, cfg: RunConfig) -> MergerPlan:
 
 def _nt_candidates(cfg: RunConfig, state: ScoringContext, rng: random.Random,
                   n_io: int) -> list[CandidateMerger]:
-    m = state.masks
-    bm, bit, order = m.nb, m.bit, m.order
+    bm, bit, order = state.nb, state.bit, state.order
 
     def edges_within(mask: int) -> int:
-        total = 0
-        mm = mask
-        while mm:
-            low = mm & -mm
-            total += (bm[order[low.bit_length() - 1]] & mask).bit_count()
-            mm ^= low
-        return total // 2
+        return sum([(bm[order[i]] & mask).bit_count() for i in _bits(mask)]) // 2
 
-    tri_at = {v: edges_within(bm[v]) for v in top_inside_from_ctx(state, cfg.n_i)}
+    tri_at = {v: edges_within(bm[v]) for v in state.ranking[:cfg.n_i]}
     out: list[CandidateMerger] = []
     for v1, v2 in iim_pool(state, cfg.n_i, cfg.filter):
         joint = (bm[v1] | bm[v2]) & ~(bit[v1] | bit[v2])
@@ -189,9 +187,6 @@ class FixtureSpec:
     k: int
     d: int
     r_count: int | None = None
-    t_label: str = "t{j}_{p}_{side}"
-    s_label: str = "s{i}_{side}"
-    r_label: str = "r{q}"
 
     @property
     def element_count(self) -> int:
@@ -215,7 +210,7 @@ def hardness_fixture(spec: FixtureSpec) -> Graph:
     spec.validate()
     m = spec.element_count
     d = spec.d
-    tlab = spec.t_label.format
+    tlab = T_LABEL.format
     pairs: list[tuple[str, str]] = []
     nodes: list[str] = []
     for j in range(1, m + 1):
@@ -227,8 +222,8 @@ def hardness_fixture(spec: FixtureSpec) -> Graph:
                 if p != q:
                     pairs.append((tlab(j=j, p=p, side=1), tlab(j=j, p=q, side=2)))
     for i, members in enumerate(spec.sets, start=1):
-        s1 = spec.s_label.format(i=i, side=1)
-        s2 = spec.s_label.format(i=i, side=2)
+        s1 = S_LABEL.format(i=i, side=1)
+        s2 = S_LABEL.format(i=i, side=2)
         nodes.append(s1)
         nodes.append(s2)
         for j in sorted(members):
@@ -237,7 +232,7 @@ def hardness_fixture(spec: FixtureSpec) -> Graph:
                 pairs.append((s2, tlab(j=j, p=p, side=2)))
     r_count = spec.k - 3 if spec.r_count is None else spec.r_count
     for q in range(1, r_count + 1):
-        r = spec.r_label.format(q=q)
+        r = R_LABEL.format(q=q)
         nodes.append(r)
         for j in range(1, m + 1):
             for p in range(1, d + 1):
@@ -250,8 +245,8 @@ def set_merge_pairs(g: Graph, spec: FixtureSpec, indices: Iterable[int]) -> list
     """Node-id pairs (terminal 1, terminal 2) for the chosen set indices."""
     out = []
     for i in indices:
-        out.append((g.node_of(spec.s_label.format(i=i, side=1)),
-                    g.node_of(spec.s_label.format(i=i, side=2))))
+        out.append((g.node_of(S_LABEL.format(i=i, side=1)),
+                    g.node_of(S_LABEL.format(i=i, side=2))))
     return out
 
 

@@ -9,18 +9,19 @@ edges whose support the merge would raise or lower.
 Both scores count only changes an actual support recount would see,
 and both are popcounts over per-round integer bitsets. Bit i stands for
 the i-th inside node in id order; every node gets a mask of its inside
-neighbors, and every inside node gets masks of its k-truss, (k-1)-truss
-and shell neighbors. The masks are built the first time a round scores, so
-rounds that never score (random sampling) never pay for them.
+neighbors, and every inside node gets masks of its k-truss and shell
+neighbors. The masks are built the first time a round scores, so rounds
+that never score (random sampling) never pay for them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import combinations
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .decomposition import TrussDecomposition, TrussView
 from .graph import Edge, Graph, NodeId, ParseError, canon
@@ -59,22 +60,18 @@ def haversine_km(a: tuple[float, float], b: tuple[float, float]) -> float:
 
 @dataclass(frozen=True)
 class ConstraintFilter:
-    """Optional per-pair admission test by great-circle distance.
+    """Per-pair admission test by great-circle distance.
 
-    With no threshold every pair passes. With a threshold, a pair is
-    admitted only when both endpoints have coordinates and lie within
-    ``threshold_km`` of each other.
+    A pair is admitted only when both endpoints have coordinates and lie
+    within ``threshold_km`` of each other.
     """
 
-    coordinates: dict[NodeId, tuple[float, float]] | None = None
-    threshold_km: float | None = None
+    coordinates: dict[NodeId, tuple[float, float]]
+    threshold_km: float
 
     def allows(self, u: NodeId, v: NodeId) -> bool:
-        if self.threshold_km is None:
-            return True
-        coords = self.coordinates or {}
-        a = coords.get(u)
-        b = coords.get(v)
+        a = self.coordinates.get(u)
+        b = self.coordinates.get(v)
         if a is None or b is None:
             return False
         return haversine_km(a, b) <= self.threshold_km
@@ -105,64 +102,67 @@ def _bits(m: int) -> Iterator[int]:
         m ^= low
 
 
-class NodeMasks(NamedTuple):
-    """Integer bitsets over inside-node positions for one round.
-
-    Bit i stands for ``order[i]``, the i-th inside node by id, and
-    ``bit`` maps every node back to its bit (0 when outside). ``nb``
-    masks each node's inside neighbors; ``tk``, ``km1`` and ``sh`` mask
-    its k-truss, (k-1)-truss and shell neighbors.
-    """
-
-    order: list[NodeId]
-    bit: dict[NodeId, int]
-    nb: dict[NodeId, int]
-    tk: dict[NodeId, int]
-    km1: dict[NodeId, int]
-    sh: dict[NodeId, int]
-
-    def nodes(self, m: int) -> set[NodeId]:
-        return {self.order[i] for i in _bits(m)}
-
-
 @dataclass(eq=False)
 class ScoringContext:
     """Everything one search round derives from the working graph.
 
     Holds the round's truss view, node partition and pruned outside
-    nodes, and the bitsets all candidate scoring reads, built on first use.
+    nodes. The bitsets all candidate scoring reads, and the inside-node
+    ranking, are built on first use: bit i stands for ``order[i]``, the
+    i-th inside node by id, and ``bit`` maps each inside node to its bit.
+    ``nb`` masks every node's inside neighbors (the wrappers below take
+    any outside node as the absorbed one); ``tk`` and ``sh`` mask each
+    inside node's k-truss and shell neighbors.
     """
 
     view: TrussView
     partition: NodePartition
     pruned: set[NodeId]
-    _masks: NodeMasks | None = field(default=None, init=False, repr=False)
 
     def node_counts(self) -> tuple[int, int, int]:
         return len(self.partition.inside), len(self.partition.outside), len(self.pruned)
 
-    @property
-    def masks(self) -> NodeMasks:
-        """The round's bitsets, built on first use."""
-        if self._masks is None:
-            p, view = self.partition, self.view
-            order = sorted(p.inside)
-            bit = dict.fromkeys(p.inside_neighbors, 0)
-            bit.update((v, 1 << i) for i, v in enumerate(order))
+    @cached_property
+    def order(self) -> list[NodeId]:
+        return sorted(self.partition.inside)
 
-            def mask(nodes) -> int:
-                return sum(map(bit.__getitem__, nodes))  # distinct bits, so sum is OR
+    @cached_property
+    def bit(self) -> dict[NodeId, int]:
+        return {v: 1 << i for i, v in enumerate(self.order)}
 
-            tk = {v: mask(view.tk_adj.get(v, ())) for v in bit}
-            km1 = {v: mask(view.adj_km1.get(v, ())) for v in bit}
-            nb = {v: mask(ns) for v, ns in p.inside_neighbors.items()}
-            self._masks = NodeMasks(order, bit, nb, tk, km1, {v: km1[v] & ~tk[v] for v in bit})
-        return self._masks
+    def _masks(self, adj: dict[NodeId, set[NodeId]], nodes) -> dict[NodeId, int]:
+        get = self.bit.__getitem__
+        return {v: sum(map(get, adj.get(v, ()))) for v in nodes}  # distinct bits, so sum is OR
+
+    @cached_property
+    def nb(self) -> dict[NodeId, int]:
+        return self._masks(self.partition.inside_neighbors, self.partition.inside_neighbors)
+
+    @cached_property
+    def tk(self) -> dict[NodeId, int]:
+        return self._masks(self.view.tk_adj, self.order)
+
+    @cached_property
+    def sh(self) -> dict[NodeId, int]:
+        tk = self.tk
+        return {v: m & ~tk[v] for v, m in self._masks(self.view.adj_km1, self.order).items()}
+
+    @cached_property
+    def ranking(self) -> list[NodeId]:
+        """Inside nodes by descending count of non-k-truss inside neighbors.
+
+        A stable sort of ``order``, so ids break ties.
+        """
+        nb, tk = self.nb, self.tk
+        return sorted(self.order, key=lambda v: -(nb[v] & ~tk[v]).bit_count())
+
+    def nodes(self, m: int) -> set[NodeId]:
+        return {self.order[i] for i in _bits(m)}
 
     def z_mask(self, v1: NodeId, v2: NodeId) -> int:
         """Z: inside neighbors of either node minus v1 and v1's (k-1)-truss neighbors."""
-        m = self.masks
-        return (m.nb[v1] | m.nb[v2]) & ~(m.km1[v1] | m.bit[v1])
+        nb = self.nb
+        return (nb[v1] | nb[v2]) & ~(self.tk[v1] | self.sh[v1] | self.bit[v1])
 
     def phse_edges(self, v1: NodeId, v2: NodeId) -> tuple[int, int]:
         """(|PHSE|, |Z|): helped shell edges and star size for merging v2 onto v1.
@@ -171,12 +171,11 @@ class ScoringContext:
         with y new or already a neighbor of v1, and of shell edges (v1, w)
         with w adjacent to x.
         """
-        m = self.masks
         z = self.z_mask(v1, v2)
-        n1 = m.nb[v1]
+        order, nb, sh = self.order, self.nb, self.sh
+        n1 = nb[v1]
         # an edge that already exists cannot raise any support
         new = z & ~n1
-        order, nb, sh = m.order, m.nb, m.sh
         helped = twice = reach = 0
         for i in _bits(new):
             x = order[i]
@@ -208,7 +207,7 @@ def incident_prospects(p: NodePartition, d: TrussDecomposition, g: Graph, k: int
 
 def top_inside_nodes(p: NodePartition, d: TrussDecomposition, g: Graph, k: int, n_i: int) -> list[NodeId]:
     """Inside nodes by descending incident-prospect count, ids break ties."""
-    return top_inside_from_ctx(_context(g, d, p, k), n_i)
+    return _context(g, d, p, k).ranking[:n_i]
 
 
 def top_outside_nodes(pruned: set[NodeId], inside_nbrs: dict[NodeId, set[NodeId]], n_o: int) -> list[NodeId]:
@@ -225,7 +224,7 @@ def new_inside_neighbors(g: Graph, d: TrussDecomposition, p: NodePartition, k: i
     edge neighbors; the merge adds the star {(v_i, z) : z in Z}.
     """
     ctx = _context(g, d, p, k)
-    return ctx.masks.nodes(ctx.z_mask(v_i, v_o))
+    return ctx.nodes(ctx.z_mask(v_i, v_o))
 
 
 def phse(g: Graph, d: TrussDecomposition, p: NodePartition, k: int,
@@ -235,12 +234,12 @@ def phse(g: Graph, d: TrussDecomposition, p: NodePartition, k: int,
     Lists the edges :meth:`ScoringContext.phse_edges` counts.
     """
     ctx = _context(g, d, p, k)
-    m = ctx.masks
-    new = ctx.z_mask(v_i, v_o) & ~m.nb[v_i]
+    nb, sh = ctx.nb, ctx.sh
+    new = ctx.z_mask(v_i, v_o) & ~nb[v_i]
     out: set[Edge] = set()
-    for x in m.nodes(new):
-        out.update(canon(x, y) for y in m.nodes(m.sh[x] & (m.nb[v_i] | new)))
-        out.update(canon(v_i, w) for w in m.nodes(m.sh[v_i] & m.nb[x]))
+    for x in ctx.nodes(new):
+        out.update(canon(x, y) for y in ctx.nodes(sh[x] & (nb[v_i] | new)))
+        out.update(canon(v_i, w) for w in ctx.nodes(sh[v_i] & nb[x]))
     return out
 
 
@@ -260,10 +259,9 @@ def _iim_score(ctx: ScoringContext, v1: NodeId, v2: NodeId) -> int:
     and N2 - N1 (they get a brand-new common neighbor), and losses are
     shell edges inside N1 & N2 (two triangles fold into one).
     """
-    m = ctx.masks
-    sh = m.sh
-    n1, n2 = m.nb[v1], m.nb[v2]
-    only2 = n2 & ~(n1 | m.bit[v1])
+    sh, tk = ctx.sh, ctx.tk
+    n1, n2 = ctx.nb[v1], ctx.nb[v2]
+    only2 = n2 & ~(n1 | ctx.bit[v1])
     both = n1 & n2
     # the outer walks use the neighbor sets: faster than peeling mask bits
     s1, s2 = ctx.partition.inside_neighbors[v1], ctx.partition.inside_neighbors[v2]
@@ -276,28 +274,21 @@ def _iim_score(ctx: ScoringContext, v1: NodeId, v2: NodeId) -> int:
     if both:
         for x in s1 & s2:
             twice += (sh[x] & both).bit_count()
-    return gains - twice // 2 - (m.tk[v1] & m.tk[v2]).bit_count()
-
-
-def top_inside_from_ctx(ctx: ScoringContext, n_i: int) -> list[NodeId]:
-    """Inside nodes by descending count of non-k-truss inside neighbors, ids break ties."""
-    nb, tk = ctx.masks.nb, ctx.masks.tk
-    scored = sorted((-(nb[v] & ~tk[v]).bit_count(), v) for v in ctx.masks.order)
-    return [v for _, v in scored[:n_i]]
+    return gains - twice // 2 - (tk[v1] & tk[v2]).bit_count()
 
 
 def iom_pool(ctx: ScoringContext, n_i: int, n_o: int,
              cfilter: ConstraintFilter | None) -> list[tuple[NodeId, NodeId]]:
     """(inside, outside) pairs of the top inside and top pruned outside nodes the filter admits."""
     outside = top_outside_nodes(ctx.pruned, ctx.partition.inside_neighbors, n_o)
-    return [(vi, vo) for vi in top_inside_from_ctx(ctx, n_i) for vo in outside
+    return [(vi, vo) for vi in ctx.ranking[:n_i] for vo in outside
             if cfilter is None or cfilter.allows(vi, vo)]
 
 
 def iim_pool(ctx: ScoringContext, n_i: int,
              cfilter: ConstraintFilter | None) -> list[tuple[NodeId, NodeId]]:
     """Pairs of top inside nodes, smaller id first, that the filter admits."""
-    pairs = ((a, b) if a < b else (b, a) for a, b in combinations(top_inside_from_ctx(ctx, n_i), 2))
+    pairs = ((a, b) if a < b else (b, a) for a, b in combinations(ctx.ranking[:n_i], 2))
     return [(v1, v2) for v1, v2 in pairs if cfilter is None or cfilter.allows(v1, v2)]
 
 

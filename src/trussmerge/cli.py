@@ -98,17 +98,17 @@ def _fmt(x) -> str:
 def _constraint_filter(g: Graph, coords_path: str | None, threshold: float | None) -> ConstraintFilter | None:
     if coords_path is None and threshold is None:
         return None
-    if threshold is not None and not (threshold >= 0 and coords_path):
-        # NaN, a negative radius or no coordinates would reject every pair
-        raise ValueError("--dist-threshold needs --coords and a radius >= 0 km")
+    if not (coords_path and threshold is not None and threshold >= 0):
+        # coordinates alone would filter nothing; NaN, a negative radius or
+        # no coordinates would reject every pair
+        raise ValueError("--dist-threshold and --coords need each other, with a radius >= 0 km")
     by_id: dict[int, tuple[float, float]] = {}
-    if coords_path:
-        with open(coords_path, encoding="utf-8") as fh:
-            for label, xy in load_coordinates(fh).items():
-                try:
-                    by_id[g.node_of(label)] = xy
-                except ValueError:
-                    continue
+    with open(coords_path, encoding="utf-8") as fh:
+        for label, xy in load_coordinates(fh).items():
+            try:
+                by_id[g.node_of(label)] = xy
+            except ValueError:
+                continue
     return ConstraintFilter(by_id, threshold)
 
 
@@ -147,9 +147,11 @@ def _plan_json(g: Graph, plan: MergerPlan, stable: bool) -> dict:
 
 
 def cmd_decompose(args) -> int:
+    ks = list(args.k) if args.k else []
+    if any(k < 2 for k in ks):
+        raise ValueError("--k values must be at least 2")
     g = _load_graph(args.dataset)
     d = truss_decompose(g)
-    ks = list(args.k) if args.k else []
     if d.kmax not in ks:
         ks.append(d.kmax)
     rows = []
@@ -205,8 +207,10 @@ def cmd_maximize(args) -> int:
 def cmd_compare(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
-    g = _load_graph(args.dataset)
     methods = [Method(tok.strip().upper()) for tok in args.methods.split(",") if tok.strip()]
+    if not methods:
+        raise ValueError("--methods needs at least one method")
+    g = _load_graph(args.dataset)
     rows = []
     for k in args.k:
         for method in methods:

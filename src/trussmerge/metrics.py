@@ -19,7 +19,6 @@ from itertools import combinations, count
 from statistics import StatisticsError, correlation
 from typing import Callable, Iterable, Iterator, Sequence
 
-import networkx as nx
 import numpy as np
 
 from .graph import Graph, NodeId
@@ -269,6 +268,7 @@ def _check_model(n: int, p: float) -> None:
 def gen_er(n: int, p: float, seed: int) -> Graph:
     """Seeded uniform random graph; keeps isolated nodes."""
     _check_model(n, p)
+    import networkx as nx  # imported here: it is slow to load and only the generators use it
     h = nx.gnp_random_graph(n, p, seed=seed)
     return Graph.from_edges(h.edges(), nodes=range(n))
 
@@ -278,6 +278,7 @@ def gen_ws(n: int, k_nbrs: int, p: float, seed: int) -> Graph:
     _check_model(n, p)
     if not 0 <= k_nbrs <= n:
         raise ValueError(f"k_nbrs must be in [0, n={n}], got {k_nbrs}")
+    import networkx as nx
     h = nx.watts_strogatz_graph(n, k_nbrs, p, seed=seed)
     return Graph.from_edges(h.edges(), nodes=range(n))
 
@@ -287,6 +288,7 @@ def gen_hk(n: int, m_attach: int, p: float, seed: int) -> Graph:
     _check_model(n, p)
     if not 1 <= m_attach <= n:
         raise ValueError(f"m_attach must be in [1, n={n}], got {m_attach}")
+    import networkx as nx
     h = nx.powerlaw_cluster_graph(n, m_attach, p, seed=seed)
     return Graph.from_edges(h.edges(), nodes=range(n))
 

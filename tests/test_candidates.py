@@ -12,6 +12,8 @@ from trussmerge import (CandidateMerger, ConstraintFilter, Graph, MergerKind,
                         phse, top_inside_nodes, top_outside_nodes,
                         truss_decompose)
 
+from trussmerge.search import build_round_state
+
 import oracles as orc
 from conftest import gnp_edges
 from test_decomposition import graph_a
@@ -66,6 +68,31 @@ def test_phse_matches_definition_oracle(rng):
         got = phse(g, d, p, k, v1, v2)
         want = orc.phse_oracle(g.edge_set(), g.nodes(), k, v1, v2)
         assert got == want, (sorted(g.edge_set()), k, v1, v2)
+        done += 1
+
+
+def test_scoring_context_tables_match_sets(rng):
+    # masks and ranking are read back against the view and the decomposition
+    done = 0
+    while done < 30:
+        n = rng.randint(6, 24)
+        g = Graph.from_edges(gnp_edges(rng, n, rng.uniform(0.2, 0.5)), nodes=range(n))
+        k = rng.randint(3, 5)
+        ctx = build_round_state(g, k)
+        p, view = ctx.partition, ctx.view
+        if not p.inside:
+            continue
+        assert set(ctx.bit) == set(ctx.tk) == set(ctx.sh) == p.inside
+        assert set(ctx.nb) == set(g.nodes())
+        for v in g.nodes():
+            assert ctx.nodes(ctx.nb[v]) == p.inside_neighbors[v]
+        for v in p.inside:
+            tk = view.tk_adj.get(v, set())
+            assert ctx.nodes(ctx.tk[v]) == tk
+            assert ctx.nodes(ctx.sh[v]) == view.adj_km1[v] - tk
+        d = truss_decompose(g)
+        want = sorted(p.inside, key=lambda v: (-len(incident_prospects(p, d, g, k, v)), v))
+        assert ctx.ranking == want
         done += 1
 
 
@@ -155,8 +182,6 @@ def test_finders_deterministic_and_capped():
 
 
 def test_constraint_filter_rules():
-    f = ConstraintFilter()
-    assert f.allows(1, 2)
     coords = {1: (0.0, 0.0), 2: (0.0, 1.0)}
     near = ConstraintFilter(coords, 150.0)
     far = ConstraintFilter(coords, 50.0)

@@ -44,6 +44,14 @@ def test_decompose_appends_kmax_row(graph_a_file, capsys):
     assert capsys.readouterr().out == "k,nodes,edges,kmax\n4,6,11,4\n"
 
 
+@pytest.mark.parametrize("ks", ["-3", "0", "1", "3,0"])
+def test_decompose_rejects_k_below_two(graph_a_file, ks, capsys):
+    assert main(["decompose", graph_a_file, "--k", ks]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: DOMAIN --k values must be at least 2\n"
+    assert captured.out == ""
+
+
 def test_decompose_edge_trussness_dump(graph_a_file, tmp_path, capsys):
     dump = tmp_path / "t.txt"
     assert main(["decompose", graph_a_file, "--edge-trussness", str(dump)]) == 0
@@ -157,7 +165,8 @@ def test_coordinates_of_unknown_labels_are_ignored(graph_a_file, tmp_path):
     ["--coords", "COORDS", "--dist-threshold", "-1"],
     ["--coords", "COORDS", "--dist-threshold", "nan"],
     ["--dist-threshold", "1"],
-], ids=["negative", "nan", "no-coords"])
+    ["--coords", "COORDS"],
+], ids=["negative", "nan", "no-coords", "no-threshold"])
 def test_dist_threshold_out_of_domain_is_rejected(graph_a_file, tmp_path, extra, capsys):
     coords = tmp_path / "coords.txt"
     coords.write_text("".join(f"{v} 0.0 0.0\n" for v in range(9)), encoding="utf-8")
@@ -236,6 +245,14 @@ def test_compare_grid(graph_a_file, capsys):
 def test_compare_rejects_trials_below_one(graph_a_file, trials, capsys):
     assert main(["compare", graph_a_file, "--k", "4", "--methods", "RD", "--trials", trials]) == 1
     assert capsys.readouterr().err == "error: DOMAIN --trials must be at least 1\n"
+
+
+@pytest.mark.parametrize("methods", ["", " , "])
+def test_compare_rejects_empty_method_list(graph_a_file, methods, tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    assert main(["compare", graph_a_file, "--k", "4", "--methods", methods, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: DOMAIN --methods needs at least one method\n"
+    assert not out.exists()
 
 
 def test_robustness_study_dataset_mode(er_file, capsys):

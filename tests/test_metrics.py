@@ -1,13 +1,18 @@
 """Graph metrics, their oracles, and the merge-vs-metric study helpers."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 
+import trussmerge
 from trussmerge import (Graph, MetricId, METRIC_DIRECTION, average_distance,
                         avg_edge_betweenness, avg_local_clustering,
                         avg_vertex_betweenness, betweenness_profile,
@@ -365,3 +370,12 @@ def test_correlation_study_zero_rounds_is_baseline_only():
     assert study.rows[0].truss_size == 120
     # one point cannot be correlated
     assert all(r is None for r in study.pearson_r.values())
+
+
+def test_package_import_leaves_networkx_unloaded():
+    # only the random-graph generators use networkx, and loading it is most of a start
+    src = str(Path(trussmerge.__file__).resolve().parents[1])
+    code = "import sys, trussmerge, trussmerge.cli; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
