@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .candidates import (CandidateMerger, MergerKind, ScoringContext, _bits, iim_pool, iom_pool,
-                         top_candidates)
+import numpy as np
+
+from .candidates import (CandidateMerger, MergerKind, ScoringContext, _cross, _int, best_pairs,
+                         top_outside_nodes)
 from .decomposition import truss_decompose
 from .graph import Graph, NodeId
 # build_round_state is not called here: the tracer in perfbench/tracing.py
@@ -111,13 +113,13 @@ def _rd_candidates(cfg: RunConfig, state: ScoringContext, rng: random.Random,
         picks = rng.sample(range(total), min(cfg.n_c, total))
         chosen = [decode(i) for i in picks]
     else:
-        # the same order as decode, so sampling draws the same picks
-        allows = cfg.filter.allows
-        allowed = [(a, b, MergerKind.IIM) for a, b in combinations(inside, 2) if allows(a, b)]
-        allowed += [(a, b, MergerKind.IOM) for a in inside for b in pruned if allows(a, b)]
-        if not allowed:
-            return []
-        chosen = rng.sample(allowed, min(cfg.n_c, len(allowed)))
+        # admitted pairs in decode's order: sample draws alike from a range and from a list
+        a, b = np.nonzero(np.triu(cfg.filter.within(inside, inside), 1))
+        c, d = np.nonzero(cfg.filter.within(inside, pruned))
+        allowed = len(a) + len(c)
+        chosen = [(inside[a[i]], inside[b[i]], MergerKind.IIM) if i < len(a)
+                  else (inside[c[i - len(a)]], pruned[d[i - len(a)]], MergerKind.IOM)
+                  for i in rng.sample(range(allowed), min(cfg.n_c, allowed))]
     return [CandidateMerger(v1, v2, kind, 0) for v1, v2, kind in chosen]
 
 
@@ -128,8 +130,9 @@ def baseline_rd(g: Graph, cfg: RunConfig) -> MergerPlan:
 
 def _ne_candidates(cfg: RunConfig, state: ScoringContext, rng: random.Random,
                   n_io: int) -> list[CandidateMerger]:
-    return top_candidates([CandidateMerger(vi, vo, MergerKind.IOM, state.z_mask(vi, vo).bit_count())
-                           for vi, vo in iom_pool(state, cfg.n_i, cfg.n_o, cfg.filter)], cfg.n_c)
+    inside = state.ranking[:cfg.n_i]
+    outside = top_outside_nodes(state.pruned, state.partition.inside_neighbors, cfg.n_o)
+    return best_pairs(MergerKind.IOM, inside, outside, cfg.n_c, cfg.filter, state.z_sizes(inside, outside))
 
 
 def baseline_ne(g: Graph, cfg: RunConfig) -> MergerPlan:
@@ -143,30 +146,27 @@ def baseline_ne(g: Graph, cfg: RunConfig) -> MergerPlan:
 
 def _nt_candidates(cfg: RunConfig, state: ScoringContext, rng: random.Random,
                   n_io: int) -> list[CandidateMerger]:
-    bm, bit, order = state.nb, state.bit, state.order
-
-    def edges_within(mask: int) -> int:
-        return sum([(bm[order[i]] & mask).bit_count() for i in _bits(mask)]) // 2
-
-    tri_at = {v: edges_within(bm[v]) for v in state.ranking[:cfg.n_i]}
-    out: list[CandidateMerger] = []
-    for v1, v2 in iim_pool(state, cfg.n_i, cfg.filter):
-        joint = (bm[v1] | bm[v2]) & ~(bit[v1] | bit[v2])
-        t12 = (bm[v1] & bm[v2]).bit_count() if v2 in state.partition.inside_neighbors[v1] else 0
-        delta = edges_within(joint) - tri_at[v1] - tri_at[v2] + t12
-        out.append(CandidateMerger(v1, v2, MergerKind.IIM, delta))
-    for v1, v2 in iom_pool(state, cfg.n_i, cfg.n_o, cfg.filter):
-        joint = (bm[v1] | bm[v2]) & ~bit[v1]
-        out.append(CandidateMerger(v1, v2, MergerKind.IOM, edges_within(joint) - tri_at[v1]))
-    return top_candidates(out, cfg.n_c)
+    # with E(S) the inside edges within S, the union's E less the parts' is the inside cross form
+    top = state.ranking[:cfg.n_i]
+    outside = top_outside_nodes(state.pruned, state.partition.inside_neighbors, cfg.n_o)
+    x, y, c, edges = state.rows(top), state.rows(outside), state.col[top], state.inside_edges
+    n1 = _int(x.sum(1))
+    # adjacent nodes leave the union with |N1| + |N2| - 1 edges; their |N1 & N2| triangles count once
+    iim = _cross(x, x, *edges) - _int(x[:, c]) * (n1[:, None] + n1 - 1 - _int(x @ x.T))
+    # v1 leaves the union with its |N1| edges when it is in N2
+    iom = _cross(x, y, *edges) - np.diagonal(_cross(y, y, *edges)) - _int(y[:, c].T) * n1[:, None]
+    cands = best_pairs(MergerKind.IIM, top, top, cfg.n_c, cfg.filter, iim) \
+        + best_pairs(MergerKind.IOM, top, outside, cfg.n_c, cfg.filter, iom)
+    return sorted(cands, key=CandidateMerger.sort_key)[:cfg.n_c]
 
 
 def baseline_nt(g: Graph, cfg: RunConfig) -> MergerPlan:
     """Rank candidate pairs by the exact triangle gain among inside nodes.
 
     The gain is the change in triangles of the graph induced on the
-    (k-1)-truss node set once the pair is merged, computed with bitset
-    neighborhoods instead of a recount.
+    (k-1)-truss node set once the pair is merged: edge counts within
+    neighborhood unions, scored for a whole pool by the matrix products
+    of :mod:`trussmerge.candidates` instead of a recount.
     """
     return _baseline_loop(g, cfg, _nt_candidates)
 
@@ -241,7 +241,7 @@ def hardness_fixture(spec: FixtureSpec) -> Graph:
     return Graph.from_edges(pairs, nodes=nodes)
 
 
-def set_merge_pairs(g: Graph, spec: FixtureSpec, indices: Iterable[int]) -> list[Pair]:
+def set_merge_pairs(g: Graph, indices: Iterable[int]) -> list[Pair]:
     """Node-id pairs (terminal 1, terminal 2) for the chosen set indices."""
     out = []
     for i in indices:
@@ -265,5 +265,5 @@ def nonsubmodularity_witness(d: int = 6) -> tuple[Graph, tuple[Pair, ...], tuple
     spec = FixtureSpec(sets=(frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 4})),
                        k=5, d=d, r_count=1)
     g = hardness_fixture(spec)
-    s1, s2, s3 = set_merge_pairs(g, spec, (1, 2, 3))
+    s1, s2, s3 = set_merge_pairs(g, (1, 2, 3))
     return g, (s1,), (s1, s2), s3

@@ -6,12 +6,13 @@ could gain support from the new star edges. Inside-inside mergers (IIM)
 are ranked by a reward/penalty score over edge collisions and shell
 edges whose support the merge would raise or lower.
 
-Both scores count only changes an actual support recount would see,
-and both are popcounts over per-round integer bitsets. Bit i stands for
-the i-th inside node in id order; every node gets a mask of its inside
-neighbors, and every inside node gets masks of its k-truss and shell
-neighbors. The masks are built the first time a round scores, so rounds
-that never score (random sampling) never pay for them.
+Both scores count only changes an actual support recount would see, as
+exact integer bilinear forms over 0/1 rows of neighborhoods (column i is
+the i-th inside node by id): a pool costs a few matrix products, the
+masked products of Kepner & Gilbert, *Graph Algorithms in the Language
+of Linear Algebra* (SIAM 2011). Their core is :func:`_cross` over the
+shell edges, plus corrections per row and per adjacent pair. Rows are
+built when a round first scores, so random sampling never pays for them.
 """
 
 from __future__ import annotations
@@ -20,14 +21,17 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import combinations
-from typing import Iterator
+from itertools import chain
+
+import numpy as np
 
 from .decomposition import TrussDecomposition, TrussView
 from .graph import Edge, Graph, NodeId, ParseError, canon
 from .pruning import NodePartition, prune_outside_maximal
 
 EARTH_RADIUS_KM = 6371.0
+EXACT_F32 = 2 ** 24  # float32 holds every integer below this exactly
+BLOCK = 1 << 14  # entries of one temporary block: 64 kB in float32
 
 
 class MergerKind(str, Enum):
@@ -76,6 +80,19 @@ class ConstraintFilter:
             return False
         return haversine_km(a, b) <= self.threshold_km
 
+    def within(self, us: list[NodeId], vs: list[NodeId]) -> np.ndarray:
+        """``allows(u, v)`` for u in us (rows), v in vs: a numpy haversine per row, near ties rechecked."""
+        lat, lon = np.radians([self.coordinates.get(v, (math.nan,) * 2) for v in vs]).reshape(-1, 2).T
+        out = np.zeros((len(us), len(vs)), bool)
+        for i, u in enumerate(us):
+            a, b = map(math.radians, self.coordinates.get(u, (math.nan,) * 2))
+            s = np.sin((lat - a) / 2) ** 2 + math.cos(a) * np.cos(lat) * np.sin((lon - b) / 2) ** 2
+            d = 2 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(s)))
+            out[i] = d <= self.threshold_km
+            for j in np.flatnonzero(np.abs(d - self.threshold_km) <= 1e-6 * (d + 1)):
+                out[i, j] = self.allows(u, vs[j])
+        return out
+
 
 def load_coordinates(lines) -> dict[str, tuple[float, float]]:
     """Parse ``label lat lon`` lines; later entries win on duplicates."""
@@ -94,25 +111,38 @@ def load_coordinates(lines) -> dict[str, tuple[float, float]]:
     return out
 
 
-def _bits(m: int) -> Iterator[int]:
-    """Positions of the set bits of m, lowest first."""
-    while m:
-        low = m & -m
-        yield low.bit_length() - 1
-        m ^= low
+def _int(a: np.ndarray) -> np.ndarray:
+    return a.astype(np.int64)
+
+
+def _cross(x: np.ndarray, y: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Edges (p, q) between x - y and y - x less edges inside x & y, for every pair of rows.
+
+    With x_p the rows' entries at the p ends and P_x = x_p o x_q, blocks of edges
+    sum x_p y_q' + x_q y_p' - P_x (y_p + y_q)' - (x_p + x_q) P_y' + P_x P_y' in int64.
+    """
+    keep = (x.any(0)[p] | x.any(0)[q]) & (y.any(0)[p] | y.any(0)[q])  # edges seeing both row sets
+    p, q, xt = p[keep], q[keep], np.ascontiguousarray(x.T)
+    yt = xt if y is x else np.ascontiguousarray(y.T)
+    out, step = np.zeros((len(x), len(y)), np.int64), max(1, BLOCK // max(1, len(x), len(y)))
+    for lo in range(0, len(p), step):
+        e, f = p[lo:lo + step], q[lo:lo + step]
+        xp, xq, yp, yq = xt[e], xt[f], yt[e], yt[f]
+        px, py = xp * xq, yp * yq
+        out += _int(xp.T @ (yq - py) + xq.T @ (yp - py) - px.T @ (yp + yq - py))
+    return out
 
 
 @dataclass(eq=False)
 class ScoringContext:
     """Everything one search round derives from the working graph.
 
-    Holds the round's truss view, node partition and pruned outside
-    nodes. The bitsets all candidate scoring reads, and the inside-node
-    ranking, are built on first use: bit i stands for ``order[i]``, the
-    i-th inside node by id, and ``bit`` maps each inside node to its bit.
-    ``nb`` masks every node's inside neighbors (the wrappers below take
-    any outside node as the absorbed one); ``tk`` and ``sh`` mask each
-    inside node's k-truss and shell neighbors.
+    Holds the round's truss view, node partition and pruned outside nodes.
+    Built on first use: ``order``, the inside nodes by id, whose positions
+    are the columns (``col`` maps ids to them, -1 outside); the shell and
+    inside edges as column pairs; the ranking. A product of :meth:`rows`
+    sums one 0/1 term per column at most, so it is exact in ``dtype``:
+    float32 below 2**24 inside nodes, float64 beyond.
     """
 
     view: TrussView
@@ -127,63 +157,94 @@ class ScoringContext:
         return sorted(self.partition.inside)
 
     @cached_property
-    def bit(self) -> dict[NodeId, int]:
-        return {v: 1 << i for i, v in enumerate(self.order)}
-
-    def _masks(self, adj: dict[NodeId, set[NodeId]], nodes) -> dict[NodeId, int]:
-        get = self.bit.__getitem__
-        return {v: sum(map(get, adj.get(v, ()))) for v in nodes}  # distinct bits, so sum is OR
+    def col(self) -> np.ndarray:
+        col = np.full(max(self.partition.inside_neighbors, default=-1) + 1, -1)
+        col[self.order] = np.arange(len(self.order))
+        return col
 
     @cached_property
-    def nb(self) -> dict[NodeId, int]:
-        return self._masks(self.partition.inside_neighbors, self.partition.inside_neighbors)
+    def dtype(self) -> type:
+        return np.float32 if len(self.order) < EXACT_F32 else np.float64
+
+    def _entries(self, sets: list) -> tuple[np.ndarray, np.ndarray]:
+        lens = [len(s) for s in sets]
+        flat = np.fromiter(chain.from_iterable(sets), np.intp, sum(lens))
+        return np.repeat(np.arange(len(sets)), lens), self.col[flat]
+
+    def rows(self, nodes, adj: dict[NodeId, set[NodeId]] | None = None,
+             cols: np.ndarray | None = None) -> np.ndarray:
+        """0/1 rows of adj[v] (default: inside neighbors; absent: empty) over all columns or ``cols``."""
+        adj = self.partition.inside_neighbors if adj is None else adj
+        r, c = self._entries([adj.get(v, ()) for v in nodes])
+        if cols is not None:
+            at = np.full(len(self.order), -1)
+            at[cols] = np.arange(len(cols))
+            r, c = r[at[c] >= 0], at[c[at[c] >= 0]]
+        out = np.zeros((len(nodes), len(self.order) if cols is None else len(cols)), self.dtype)
+        out[r, c] = 1
+        return out
 
     @cached_property
-    def tk(self) -> dict[NodeId, int]:
-        return self._masks(self.view.tk_adj, self.order)
+    def shell_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(self._entries(list(self.view.pos))[1].reshape(-1, 2).T)
 
     @cached_property
-    def sh(self) -> dict[NodeId, int]:
-        tk = self.tk
-        return {v: m & ~tk[v] for v, m in self._masks(self.view.adj_km1, self.order).items()}
+    def inside_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        r, c = self._entries([self.partition.inside_neighbors[v] for v in self.order])
+        return r[r < c], c[r < c]
+
+    def shell_neighbors(self, v: NodeId) -> list[NodeId]:
+        return list(self.view.adj_km1.get(v, set()) - self.view.tk_adj.get(v, set()))
 
     @cached_property
     def ranking(self) -> list[NodeId]:
-        """Inside nodes by descending count of non-k-truss inside neighbors.
+        """Inside nodes by descending count of non-k-truss inside neighbors, ids breaking ties."""
+        nb, tk = self.partition.inside_neighbors, self.view.tk_adj
+        return sorted(self.order, key=lambda v: len(tk.get(v, ())) - len(nb[v]))
 
-        A stable sort of ``order``, so ids break ties.
+    def iim_scores(self, nodes: list[NodeId]) -> np.ndarray:
+        """IIM score of every pair of the given inside nodes, as a symmetric matrix.
+
+        With N1, N2 the inside neighborhoods less v1, v2: -collisions (common
+        k-truss neighbors) + gains (shell edges between N1 - N2 and N2 - N1)
+        - losses (inside N1 & N2); the cross form, fixed if v1, v2 adjacent.
         """
-        nb, tk = self.nb, self.tk
-        return sorted(self.order, key=lambda v: -(nb[v] & ~tk[v]).bit_count())
+        c, t, x = self.col[nodes], self.rows(nodes, self.view.tk_adj), self.rows(nodes)
+        sh = self.rows(nodes, self.view.adj_km1) - t
+        own, deg = _int(x @ sh.T), _int(sh.sum(1))  # own[a, b] = |sh(b) & N(a)|
+        fix = _int(t @ t.T) + _int(x[:, c]) * (deg[:, None] - own.T + deg - own - _int(sh[:, c]))
+        del t, sh  # only x is needed from here on
+        return _cross(x, x, *self.shell_edges) - fix
 
-    def nodes(self, m: int) -> set[NodeId]:
-        return {self.order[i] for i in _bits(m)}
+    def z_sizes(self, inside: list[NodeId], outside: list[NodeId]) -> np.ndarray:
+        """|Z| per (inside, outside) pair: |N1| + |N2| - |N1 & N2| - |km1(v1)| - [v1 in N2]."""
+        x, y = self.rows(inside), self.rows(outside)
+        km1 = np.array([len(self.view.adj_km1.get(v, ())) for v in inside], np.int64).reshape(-1, 1)
+        return _int(x.sum(1))[:, None] - km1 + _int(y.sum(1)) - _int(x @ y.T) - _int(y[:, self.col[inside]].T)
 
-    def z_mask(self, v1: NodeId, v2: NodeId) -> int:
-        """Z: inside neighbors of either node minus v1 and v1's (k-1)-truss neighbors."""
-        nb = self.nb
-        return (nb[v1] | nb[v2]) & ~(self.tk[v1] | self.sh[v1] | self.bit[v1])
+    def iom_scores(self, inside: list[NodeId], outside: list[NodeId]) -> tuple[np.ndarray, np.ndarray]:
+        """(|PHSE|, |Z|) for merging each outside node onto each inside node.
+
+        A star edge (v1, x), x in u = N2 - N1 - v1, helps shell edges (x, y),
+        y in u or N1 (the cross form, plus the edges inside N2, less v1's if
+        v1 is in N2), and (v1, w), w adjacent to u (a product per v1).
+        """
+        c, x, y = self.col[inside], self.rows(inside), self.rows(outside)
+        cy = np.flatnonzero(y.any(0))  # the columns of the N2
+        step, reach = max(1, BLOCK // max(1, len(cy))), np.zeros((len(inside), len(outside)), np.int64)
+        for a, v in enumerate(inside):
+            # |N(w) & (N2 - N1)| per shell neighbor w of v1; A[w, v1] = 1 counts v1 in N2 once
+            u, sh = (y[:, cy] * (1 - x[a, cy])).T, self.shell_neighbors(v)
+            for lo in range(0, len(sh), step):
+                reach[a] += (self.rows(sh[lo:lo + step], cols=cy) @ u > y[:, c[a]]).sum(0)
+        deg = np.array([len(self.shell_neighbors(v)) for v in inside], np.int64).reshape(-1, 1)
+        helped = _cross(x, y, *self.shell_edges) - np.diagonal(_cross(y, y, *self.shell_edges))
+        return helped - _int(y[:, c].T) * deg + reach, self.z_sizes(inside, outside)
 
     def phse_edges(self, v1: NodeId, v2: NodeId) -> tuple[int, int]:
-        """(|PHSE|, |Z|): helped shell edges and star size for merging v2 onto v1.
-
-        A new star edge (v1, x) raises the support of shell edges (x, y)
-        with y new or already a neighbor of v1, and of shell edges (v1, w)
-        with w adjacent to x.
-        """
-        z = self.z_mask(v1, v2)
-        order, nb, sh = self.order, self.nb, self.sh
-        n1 = nb[v1]
-        # an edge that already exists cannot raise any support
-        new = z & ~n1
-        helped = twice = reach = 0
-        for i in _bits(new):
-            x = order[i]
-            sx = sh[x]
-            helped += (sx & n1).bit_count()
-            twice += (sx & new).bit_count()
-            reach |= nb[x]
-        return helped + twice // 2 + (sh[v1] & reach).bit_count(), z.bit_count()
+        """(|PHSE|, |Z|) of one pair, read from :meth:`iom_scores`."""
+        helped, z = self.iom_scores([v1], [v2])
+        return int(helped[0, 0]), int(z[0, 0])
 
 
 def _context(g: Graph, d: TrussDecomposition | None, p: NodePartition, k: int,
@@ -216,6 +277,16 @@ def top_outside_nodes(pruned: set[NodeId], inside_nbrs: dict[NodeId, set[NodeId]
     return [v for _, v in scored[:n_o]]
 
 
+def _star(g: Graph, d: TrussDecomposition, p: NodePartition, k: int, v_i: NodeId, v_o: NodeId):
+    """(context, N1 row, u row), u = N2 - N1 - v_i: the far ends of the star edges the merge adds."""
+    if v_i not in p.inside:
+        raise ValueError(f"node {v_i} is not an inside node")
+    ctx = _context(g, d, p, k)
+    x, y = ctx.rows([v_i, v_o])
+    y[ctx.col[v_i]] = 0
+    return ctx, x, y * (1 - x)
+
+
 def new_inside_neighbors(g: Graph, d: TrussDecomposition, p: NodePartition, k: int,
                          v_i: NodeId, v_o: NodeId) -> set[NodeId]:
     """Nodes the merged node would newly reach inside the (k-1)-truss.
@@ -223,24 +294,22 @@ def new_inside_neighbors(g: Graph, d: TrussDecomposition, p: NodePartition, k: i
     Z = (inside nbrs of either endpoint) minus v_i and its (k-1)-truss
     edge neighbors; the merge adds the star {(v_i, z) : z in Z}.
     """
-    ctx = _context(g, d, p, k)
-    return ctx.nodes(ctx.z_mask(v_i, v_o))
+    ctx, x, u = _star(g, d, p, k, v_i, v_o)
+    return {ctx.order[i] for i in np.flatnonzero((x + u) * (1 - ctx.rows([v_i], ctx.view.adj_km1)[0]))}
 
 
 def phse(g: Graph, d: TrussDecomposition, p: NodePartition, k: int,
          v_i: NodeId, v_o: NodeId) -> set[Edge]:
     """Shell edges whose support rises once the merger's star is added.
 
-    Lists the edges :meth:`ScoringContext.phse_edges` counts.
+    Lists the edges :meth:`ScoringContext.iom_scores` counts: (x, y) with
+    x in u and y in u or N1, and (v_i, w) with w adjacent to u.
     """
-    ctx = _context(g, d, p, k)
-    nb, sh = ctx.nb, ctx.sh
-    new = ctx.z_mask(v_i, v_o) & ~nb[v_i]
-    out: set[Edge] = set()
-    for x in ctx.nodes(new):
-        out.update(canon(x, y) for y in ctx.nodes(sh[x] & (nb[v_i] | new)))
-        out.update(canon(v_i, w) for w in ctx.nodes(sh[v_i] & nb[x]))
-    return out
+    ctx, x, u = _star(g, d, p, k, v_i, v_o)
+    (a, b), sh = ctx.shell_edges, ctx.shell_neighbors(v_i)
+    hit = u[a] * (x + u)[b] + u[b] * (x + u)[a] > 0
+    return {canon(ctx.order[e], ctx.order[f]) for e, f in zip(a[hit], b[hit])} \
+        | {canon(v_i, w) for w, n in zip(sh, ctx.rows(sh) @ u) if n > 0}
 
 
 def iim_score(g: Graph, d: TrussDecomposition, p: NodePartition, k: int,
@@ -252,60 +321,31 @@ def iim_score(g: Graph, d: TrussDecomposition, p: NodePartition, k: int,
 
 
 def _iim_score(ctx: ScoringContext, v1: NodeId, v2: NodeId) -> int:
-    """-collisions + gains - losses, from the round's masks.
-
-    With N1 and N2 the inside neighborhoods less v1 and v2, collisions
-    are common k-truss neighbors, gains are shell edges between N1 - N2
-    and N2 - N1 (they get a brand-new common neighbor), and losses are
-    shell edges inside N1 & N2 (two triangles fold into one).
-    """
-    sh, tk = ctx.sh, ctx.tk
-    n1, n2 = ctx.nb[v1], ctx.nb[v2]
-    only2 = n2 & ~(n1 | ctx.bit[v1])
-    both = n1 & n2
-    # the outer walks use the neighbor sets: faster than peeling mask bits
-    s1, s2 = ctx.partition.inside_neighbors[v1], ctx.partition.inside_neighbors[v2]
-    only1 = s1 - s2
-    only1.discard(v2)
-    gains = 0
-    for x in only1:
-        gains += (sh[x] & only2).bit_count()
-    twice = 0
-    if both:
-        for x in s1 & s2:
-            twice += (sh[x] & both).bit_count()
-    return gains - twice // 2 - (tk[v1] & tk[v2]).bit_count()
+    """The IIM score of one pair, read from :meth:`ScoringContext.iim_scores`."""
+    return int(ctx.iim_scores([v1, v2])[0, 1])
 
 
-def iom_pool(ctx: ScoringContext, n_i: int, n_o: int,
-             cfilter: ConstraintFilter | None) -> list[tuple[NodeId, NodeId]]:
-    """(inside, outside) pairs of the top inside and top pruned outside nodes the filter admits."""
-    outside = top_outside_nodes(ctx.pruned, ctx.partition.inside_neighbors, n_o)
-    return [(vi, vo) for vi in ctx.ranking[:n_i] for vo in outside
-            if cfilter is None or cfilter.allows(vi, vo)]
-
-
-def iim_pool(ctx: ScoringContext, n_i: int,
-             cfilter: ConstraintFilter | None) -> list[tuple[NodeId, NodeId]]:
-    """Pairs of top inside nodes, smaller id first, that the filter admits."""
-    pairs = ((a, b) if a < b else (b, a) for a, b in combinations(ctx.ranking[:n_i], 2))
-    return [(v1, v2) for v1, v2 in pairs if cfilter is None or cfilter.allows(v1, v2)]
-
-
-def top_candidates(cands: list[CandidateMerger], n_c: int) -> list[CandidateMerger]:
-    """The n_c best candidates by :meth:`CandidateMerger.sort_key`."""
-    return sorted(cands, key=CandidateMerger.sort_key)[:n_c]
+def best_pairs(kind: MergerKind, rows: list[NodeId], cols: list[NodeId], n_c: int,
+               cfilter: ConstraintFilter | None, score: np.ndarray,
+               tie: np.ndarray | None = None) -> list[CandidateMerger]:
+    """The n_c best admitted (rows[i], cols[j]) by score[i, j], tie[i, j]; IIM: i < j, smaller id first."""
+    ok = np.ones(score.shape, bool) if cfilter is None else cfilter.within(rows, cols)
+    i, j = np.nonzero(np.triu(ok, 1) if kind is MergerKind.IIM else ok)
+    v1, v2 = np.array(rows, np.intp)[i], np.array(cols, np.intp)[j]
+    v1, v2 = (np.minimum(v1, v2), np.maximum(v1, v2)) if kind is MergerKind.IIM else (v1, v2)
+    s, t = score[i, j], np.zeros(len(i), np.int64) if tie is None else tie[i, j]
+    pick = np.lexsort((v2, v1, -t, -s))[:n_c]
+    return [CandidateMerger(int(v1[m]), int(v2[m]), kind, int(s[m]), int(t[m])) for m in pick]
 
 
 def find_iom_candidates(g: Graph, d: TrussDecomposition | None, p: NodePartition, k: int,
                         n_i: int, n_o: int, n_c: int,
                         cfilter: ConstraintFilter | None = None, *,
                         ctx: ScoringContext | None = None) -> list[CandidateMerger]:
-    """Top n_c inside-outside mergers from the focused node pools."""
+    """Top n_c inside-outside mergers from the focused node pools, by |PHSE| then |Z|."""
     ctx = _context(g, d, p, k, ctx)
-    # scored by |PHSE|, ties broken by |Z|
-    return top_candidates([CandidateMerger(vi, vo, MergerKind.IOM, *ctx.phse_edges(vi, vo))
-                           for vi, vo in iom_pool(ctx, n_i, n_o, cfilter)], n_c)
+    inside, outside = ctx.ranking[:n_i], top_outside_nodes(ctx.pruned, ctx.partition.inside_neighbors, n_o)
+    return best_pairs(MergerKind.IOM, inside, outside, n_c, cfilter, *ctx.iom_scores(inside, outside))
 
 
 def find_iim_candidates(g: Graph, d: TrussDecomposition | None, p: NodePartition, k: int,
@@ -314,5 +354,5 @@ def find_iim_candidates(g: Graph, d: TrussDecomposition | None, p: NodePartition
                         ctx: ScoringContext | None = None) -> list[CandidateMerger]:
     """Top n_c inside-inside mergers among the focused inside nodes."""
     ctx = _context(g, d, p, k, ctx)
-    return top_candidates([CandidateMerger(v1, v2, MergerKind.IIM, _iim_score(ctx, v1, v2))
-                           for v1, v2 in iim_pool(ctx, n_i, cfilter)], n_c)
+    top = ctx.ranking[:n_i]
+    return best_pairs(MergerKind.IIM, top, top, n_c, cfilter, ctx.iim_scores(top))

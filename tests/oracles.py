@@ -183,6 +183,32 @@ def iim_score_oracle(edges: set[Edge], k: int, v1: int, v2: int) -> int:
     return score
 
 
+def nt_gain_oracle(edges: set[Edge], k: int, v1: int, v2: int) -> int:
+    """Triangle gain of the NT baseline, recomputed from neighbor sets.
+
+    With N1 and N2 the inside (node of the (k-1)-truss) neighborhoods
+    and E(S) the number of edges with both ends in S, merging v2 onto v1
+    scores E(N1 | N2 - {v1}) - E(N1) for an outside v2. For an inside
+    v2 it scores E(N1 | N2 - {v1, v2}) - E(N1) - E(N2), plus |N1 & N2|
+    when the two are adjacent (the triangles through both were counted
+    at each).
+    """
+    inside = {v for e in peel_k_truss(edges, k - 1) for v in e}
+    adj: dict[int, set[int]] = defaultdict(set)
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+
+    def within(s: set[int]) -> int:
+        return sum(1 for u, v in edges if u in s and v in s)
+
+    n1, n2 = adj[v1] & inside, adj[v2] & inside
+    if v2 not in inside:
+        return within((n1 | n2) - {v1}) - within(n1)
+    common = len(n1 & n2) if v2 in n1 else 0
+    return within((n1 | n2) - {v1, v2}) - within(n1) - within(n2) + common
+
+
 def betweenness_oracle(labels, label_edges) -> tuple[dict, dict]:
     """Per-node and per-edge betweenness by shortest-path enumeration."""
     h = nx.Graph()

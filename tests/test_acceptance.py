@@ -184,7 +184,7 @@ def test_criterion_08_coverage_fixture_lower_bound():
             for chosen in combinations((1, 2, 3), r):
                 covered = set().union(*(spec.sets[i - 1] for i in chosen)) \
                     if chosen else set()
-                pairs = set_merge_pairs(g, spec, chosen)
+                pairs = set_merge_pairs(g, chosen)
                 got = objective(g, spec.k, pairs).size
                 assert got >= 64 * len(covered), (chosen, got)
         assert time.perf_counter() - started < 5.0

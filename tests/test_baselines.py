@@ -149,7 +149,7 @@ def test_fixture_frozen_counts():
     g = hardness_fixture(spec)
     assert spec.element_count == 4
     assert (g.node_count, g.edge_count) == (71, 384)
-    pairs = set_merge_pairs(g, spec, [1, 3])
+    pairs = set_merge_pairs(g, [1, 3])
     assert [tuple(map(g.label, p)) for p in pairs] == [("s1_1", "s1_2"), ("s3_1", "s3_2")]
     assert objective(g, 4, pairs).size == 352
 

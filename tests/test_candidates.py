@@ -2,7 +2,9 @@
 
 import math
 import random
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from trussmerge import (CandidateMerger, ConstraintFilter, Graph, MergerKind,
@@ -12,7 +14,10 @@ from trussmerge import (CandidateMerger, ConstraintFilter, Graph, MergerKind,
                         phse, top_inside_nodes, top_outside_nodes,
                         truss_decompose)
 
-from trussmerge.search import build_round_state
+from trussmerge import candidates
+from trussmerge.candidates import _context
+from trussmerge.baselines import _ne_candidates, _nt_candidates
+from trussmerge.search import Method, RunConfig, build_round_state
 
 import oracles as orc
 from conftest import gnp_edges
@@ -72,7 +77,7 @@ def test_phse_matches_definition_oracle(rng):
 
 
 def test_scoring_context_tables_match_sets(rng):
-    # masks and ranking are read back against the view and the decomposition
+    # rows, adjacencies and ranking are read back against the view and the decomposition
     done = 0
     while done < 30:
         n = rng.randint(6, 24)
@@ -82,14 +87,27 @@ def test_scoring_context_tables_match_sets(rng):
         p, view = ctx.partition, ctx.view
         if not p.inside:
             continue
-        assert set(ctx.bit) == set(ctx.tk) == set(ctx.sh) == p.inside
-        assert set(ctx.nb) == set(g.nodes())
-        for v in g.nodes():
-            assert ctx.nodes(ctx.nb[v]) == p.inside_neighbors[v]
-        for v in p.inside:
-            tk = view.tk_adj.get(v, set())
-            assert ctx.nodes(ctx.tk[v]) == tk
-            assert ctx.nodes(ctx.sh[v]) == view.adj_km1[v] - tk
+        order = ctx.order
+        assert order == sorted(p.inside)
+        assert [ctx.col[v] for v in order] == list(range(len(order)))
+        assert all(ctx.col[v] == -1 for v in p.outside)
+
+        def nodes(row):
+            return {order[i] for i in row.nonzero()[0]}
+
+        nodes_all = list(g.nodes())
+        for v, row in zip(nodes_all, ctx.rows(nodes_all)):
+            assert nodes(row) == p.inside_neighbors[v]
+        for v, tk, km1 in zip(order, ctx.rows(order, view.tk_adj), ctx.rows(order, view.adj_km1)):
+            assert nodes(tk) == view.tk_adj.get(v, set())
+            assert nodes(km1) == view.adj_km1[v]
+        for v in order:
+            assert set(ctx.shell_neighbors(v)) == view.adj_km1[v] - view.tk_adj.get(v, set())
+        assert {(order[a], order[b]) for a, b in zip(*ctx.shell_edges)} == view.shell
+        inside_edges = {e for e in g.edge_set() if set(e) <= p.inside}
+        assert sorted((order[a], order[b]) for a, b in zip(*ctx.inside_edges)) == sorted(inside_edges)
+        cols = np.array(sorted(rng.sample(range(len(order)), len(order) // 2)), int)
+        assert (ctx.rows(order, cols=cols) == ctx.rows(order)[:, cols]).all()
         d = truss_decompose(g)
         want = sorted(p.inside, key=lambda v: (-len(incident_prospects(p, d, g, k, v)), v))
         assert ctx.ranking == want
@@ -241,3 +259,123 @@ def test_finder_scores_match_oracles(rng):
                 (sorted(edges), k, c)
             assert c.tiebreak == len(orc.z_set_oracle(edges, k, c.v1, c.v2)), (sorted(edges), k, c)
         done += 1
+
+
+def scoring_graph(rng):
+    """A random graph with isolated nodes, and maybe a hub or a clique core.
+
+    The hub is adjacent to about 85% of the nodes. The clique core has
+    only pendant paths around it, so above k=3 its shell is empty.
+    """
+    n = rng.randint(8, 18)
+    shape = rng.choice(("plain", "hub", "clique"))
+    if shape == "clique":
+        m = rng.randint(4, 7)
+        edges = set(combinations(range(m), 2)) | {(rng.randrange(v), v) for v in range(m, n)}
+    else:
+        edges = gnp_edges(rng, n, rng.uniform(0.15, 0.5))
+    if shape == "hub":
+        hub = rng.randrange(n)
+        others = rng.sample([v for v in range(n) if v != hub], round(0.85 * (n - 1)))
+        edges |= {(min(hub, v), max(hub, v)) for v in others}
+    return Graph.from_edges(edges, nodes=range(n + rng.randint(0, 2))), shape
+
+
+def check_pools_match_oracles(rng, g, k, n_i, n_o, cfilter):
+    """Score every pool pair of BM, NE and NT through the products; compare each with the oracles.
+
+    The round state is the search loop's or, as the (g, d, p, k) wrappers build it,
+    one whose inside set is the nodes of trussness k-1 or more, isolated nodes included at k=3.
+    """
+    edges = g.edge_set()
+    d = truss_decompose(g)
+    ctx = build_round_state(g, k) if rng.random() < 0.5 else _context(g, d, partition_nodes(g, d, k), k)
+    big = 10 ** 6
+    iim = find_iim_candidates(g, None, ctx.partition, k, n_i, big, cfilter, ctx=ctx)
+    iom = find_iom_candidates(g, None, ctx.partition, k, n_i, n_o, big, cfilter, ctx=ctx)
+    for cands in (iim, iom):
+        keys = [c.sort_key() for c in cands]
+        assert keys == sorted(keys)
+    admits = cfilter.allows if cfilter else lambda u, v: True
+    top = ctx.ranking[:n_i]
+    outside = top_outside_nodes(ctx.pruned, ctx.partition.inside_neighbors, n_o)
+    assert {(c.v1, c.v2) for c in iim} == {(min(e), max(e)) for e in combinations(top, 2) if admits(*e)}
+    assert {(c.v1, c.v2) for c in iom} == {(u, v) for u in top for v in outside if admits(u, v)}
+    for c in iim:
+        assert (c.score, c.tiebreak) == (orc.iim_score_oracle(edges, k, c.v1, c.v2), 0), \
+            (sorted(edges), k, c)
+    for c in iom:
+        assert c.score == len(orc.phse_oracle(edges, g.nodes(), k, c.v1, c.v2)), (sorted(edges), k, c)
+        assert c.tiebreak == len(orc.z_set_oracle(edges, k, c.v1, c.v2)), (sorted(edges), k, c)
+    cfg = RunConfig(k=k, n_i=n_i, n_o=n_o, n_c=big, method=Method.NT, filter=cfilter)
+    nt = _nt_candidates(cfg, ctx, random.Random(0), 0)
+    assert len(nt) == len(iim) + len(iom)
+    for c in nt:
+        assert c.score == orc.nt_gain_oracle(edges, k, c.v1, c.v2), (sorted(edges), k, c)
+    ne = _ne_candidates(cfg, ctx, random.Random(0), 0)
+    assert {(c.v1, c.v2): c.score for c in ne} == {(c.v1, c.v2): c.tiebreak for c in iom}
+    return ctx, iim, iom
+
+
+def test_product_scores_match_oracles_on_every_pool_pair(rng):
+    seen = set()
+    done = 0
+    while done < 40:
+        g, shape = scoring_graph(rng)
+        k = rng.randint(3, 6)
+        ctx = build_round_state(g, k)
+        inside = len(ctx.partition.inside)
+        if inside < 2:
+            continue
+        n_i = rng.choice((rng.randint(1, inside), inside + rng.randint(0, 3)))
+        cfilter = None
+        if done % 3 == 2:
+            coords = {v: (rng.uniform(0, 1), rng.uniform(0, 1)) for v in g.nodes() if rng.random() < 0.9}
+            cfilter = ConstraintFilter(coords, 80.0)
+            seen.add("filter")
+        _, iim, iom = check_pools_match_oracles(rng, g, k, n_i, rng.randint(1, 6), cfilter)
+        seen |= {shape, "n_i below" if n_i < inside else "n_i at or above"}
+        if g.node_count > len(g.adj) or any(not ns for ns in g.adj.values()):
+            seen.add("isolated")
+        if not ctx.view.pos:
+            seen.add("empty shell")
+        done += 1
+    assert seen >= {"plain", "hub", "clique", "filter", "isolated", "empty shell",
+                    "n_i below", "n_i at or above"}, seen
+
+
+def test_product_scores_exact_in_float64(rng, monkeypatch):
+    # the float64 branch gives the same scores as the float32 one and the oracles
+    done = 0
+    while done < 4:
+        g, _ = scoring_graph(rng)
+        k = rng.randint(3, 5)
+        if len(build_round_state(g, k).partition.inside) < 2:
+            continue
+        want = check_pools_match_oracles(rng, g, k, g.node_count, g.node_count, None)[1:]
+        with monkeypatch.context() as m:
+            m.setattr(candidates, "EXACT_F32", 0)
+            ctx, *got = check_pools_match_oracles(rng, g, k, g.node_count, g.node_count, None)
+            assert ctx.dtype is np.float64
+        assert got == list(want)
+        done += 1
+
+
+def test_within_matches_allows_on_every_pair(rng):
+    coords = {v: (rng.uniform(-89, 89), rng.uniform(-180, 180)) for v in range(40)}
+    coords[40] = (0.0, 0.0)
+    coords[41] = (0.0, 1.0)              # about 111 km east of 40
+    coords[42] = (-0.0, 179.99999)       # nearly antipodal to 40's mirror
+    coords[43] = (0.0, -0.00001)
+    nodes = list(range(46))              # 44 and 45 have no coordinates
+    at_edge = haversine_km(coords[40], coords[41])
+    thresholds = [0.0, at_edge, haversine_km(coords[3], coords[7]),
+                  haversine_km(coords[42], coords[43]), 5000.0, math.inf]
+    for t in thresholds:
+        f = ConstraintFilter(coords, t)
+        got = f.within(nodes, nodes)
+        want = [[f.allows(u, v) for v in nodes] for u in nodes]
+        assert got.tolist() == want, t
+    assert ConstraintFilter(coords, at_edge).within([40], [41]).tolist() == [[True]]
+    assert ConstraintFilter(coords, math.nextafter(at_edge, 0)).within([40], [41]).tolist() == [[False]]
+    assert ConstraintFilter(coords, 1.0).within([], nodes).shape == (0, 46)

@@ -44,6 +44,16 @@ def test_decompose_appends_kmax_row(graph_a_file, capsys):
     assert capsys.readouterr().out == "k,nodes,edges,kmax\n4,6,11,4\n"
 
 
+def test_decompose_empty_file_reports_an_empty_graph(tmp_path, capsys):
+    # no edges: every level is empty and kmax stays at its floor of 2
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no edges\n\n")
+    assert main(["decompose", str(empty)]) == 0
+    assert capsys.readouterr().out == "k,nodes,edges,kmax\n2,0,0,2\n"
+    assert main(["decompose", str(empty), "--k", "3"]) == 0
+    assert capsys.readouterr().out == "k,nodes,edges,kmax\n3,0,0,2\n2,0,0,2\n"
+
+
 @pytest.mark.parametrize("ks", ["-3", "0", "1", "3,0"])
 def test_decompose_rejects_k_below_two(graph_a_file, ks, capsys):
     assert main(["decompose", graph_a_file, "--k", ks]) == 1
