@@ -4,11 +4,12 @@
 Every workload in ``BENCHMARK.json`` runs once per seed with ``--trace 0``
 in a fresh process, for the benchmark's ``run_seconds``, then once more
 with ``--trace 1`` on seed 1 for its per-layer record. Last, the tier-1
-test suite runs once, with its wall seconds and passed/failed counts
-recorded. The file holds the git revision, the size of the package
-source (its digest and ``src_lines``, the newline count of
-``src/trussmerge/*.py`` as ``wc -l`` gives it), the machine, every run's
-end-to-end metrics and their per-workload medians and quartiles. With
+test suite runs once, with its wall seconds, passed/failed counts and
+five slowest tests (pytest's ``--durations=5``) recorded. The file
+holds the git revision, the size of the package source (its digest and
+``src_lines``, the newline count of ``src/trussmerge/*.py`` as ``wc -l``
+gives it), the machine, every run's end-to-end metrics and their
+per-workload medians and quartiles. With
 ``--baseline DIR`` every run is paired with the same run in another
 checkout (for example the parent commit), alternating which side goes
 first, and a second file ``BENCH_<baseline-label>.json`` is written for
@@ -34,7 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 END_TO_END = ("setup_s", "wall_s", "peak_rss_mb")
 TRACE_SEED = 1
-TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=5"]
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -72,9 +73,12 @@ def run_tier1(root: Path) -> dict:
     summary = next((line.strip("= ") for line in reversed(proc.stdout.splitlines())
                     if re.search(r" in [\d.]+s", line)), "")
     counts = {k: int(v) for v, k in re.findall(r"(\d+) (passed|failed|errors?)", summary)}
+    slowest = [{"test": test, "phase": phase, "seconds": float(sec)} for sec, phase, test in
+               re.findall(r"^([\d.]+)s (call|setup|teardown) +(\S+)$", proc.stdout, re.M)]
     out = {"command": " ".join(["python", *TIER1]), "wall_s": wall, "exit_code": proc.returncode,
            "passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
-           "errors": counts.get("errors", counts.get("error", 0)), "summary": summary}
+           "errors": counts.get("errors", counts.get("error", 0)), "summary": summary,
+           "slowest": slowest}
     print(f"{root.name} tier-1: {summary} ({wall:.1f} s wall)", flush=True)
     return out
 

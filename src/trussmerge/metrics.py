@@ -5,8 +5,10 @@ betweenness), ER (total effective resistance), SG (spectral gap), NC
 (natural connectivity), AD (average distance), TS (transitivity) and LC
 (average local clustering). VB, EB, ER and AD improve downward, the
 rest upward. ``greedy_improve`` studies how fast merging versus edge
-addition moves one measure; ``correlation_study`` tracks how the
-measures move while a merger search grows the k-truss.
+addition moves one measure, each edit the exhaustive best that
+``best_candidate`` finds with closed forms or spectral upper bounds;
+``correlation_study`` tracks how the measures move while a merger
+search grows the k-truss.
 """
 
 from __future__ import annotations
@@ -320,27 +322,30 @@ class StudyTrace:
     pearson_r: dict[str, float | None] = field(default_factory=dict)
 
 
-def candidate_matrices(a: np.ndarray, op: str) -> Iterator[tuple[int, int, np.ndarray]]:
-    """(i, j, edited matrix) for every merge pair or absent edge, i < j.
+def _edited(a: np.ndarray, op: str, i: int, j: int) -> np.ndarray:
+    """The matrix after merging j into i, or after adding edge (i, j); i < j.
 
     A merge ORs row and column j into i, clears the diagonal and drops
     j: exactly the sorted-id matrix of ``Graph.merge`` on those nodes.
     An addition sets a[i, j] = a[j, i] = 1.
     """
-    n = len(a)
-    keep = [np.r_[0:j, j + 1:n] for j in range(n)] if op == "merge" else []
-    for i, j in combinations(range(n), 2):
-        if op == "merge":
-            b = a[keep[j]][:, keep[j]]
-            row = np.maximum(b[i], a[j, keep[j]])
-            row[i] = 0.0
-            b[i] = b[:, i] = row
-        elif a[i, j]:
-            continue
-        else:
-            b = a.copy()
-            b[i, j] = b[j, i] = 1.0
-        yield i, j, b
+    if op == "merge":
+        keep = np.r_[0:j, j + 1:len(a)]
+        b = a[keep][:, keep]
+        row = np.maximum(b[i], a[j, keep])
+        row[i] = 0.0
+        b[i] = b[:, i] = row
+    else:
+        b = a.copy()
+        b[i, j] = b[j, i] = 1.0
+    return b
+
+
+def candidate_matrices(a: np.ndarray, op: str) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(i, j, edited matrix) for every merge pair or absent edge, i < j."""
+    for i, j in combinations(range(len(a)), 2):
+        if op == "merge" or not a[i, j]:
+            yield i, j, _edited(a, op, i, j)
 
 
 # distance entries scored per batch of closed-form candidates
@@ -420,31 +425,103 @@ def candidate_scores(a: np.ndarray, metric: MetricId | str, op: str) -> Iterator
                 continue
 
 
+def _spectral_bounds(a: np.ndarray, metric: MetricId, op: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, upper bound on the measure) for every NC addition or SG edit, from one eigh of a.
+
+    With F = e^A, Golden-Thompson bounds NC after adding (i, j) by
+    log tr(F e^D) / n, e^D in closed form. For SG, write the edit as
+    M = A + s (e_i y' + y e_i') with unit y: y = e_j and s = 1 for an
+    addition; for a merge j -> i, y = d/|d| and s = |d| with d = N(j) -
+    N(i) - {i, j}, and the merged matrix is M less row and column j, so
+    its lambda1 is at most lambda1(M) (interlacing). lambda1(M) is the top
+    root of s (P_iy + sqrt(P_ii P_yy)) = 1, P = [e_i y]' (lambda - A)^-1 [e_i y],
+    bisected from above. lambda2 is at least the second Ritz value on the
+    old top-three eigenvectors (row j zeroed for a merge, so their Gram
+    matrix I - qq' is whitened by I + qq' / (g (1 + g)), g^2 = 1 - q'q),
+    and at least lambda3(A) after an addition or lambda4(A) after a merge.
+    """
+    n = len(a)
+    w, v = np.linalg.eigh(a)
+    ii, jj = np.triu_indices(n, 1)
+    if op != "merge":
+        ii, jj = ii[a[ii, jj] == 0], jj[a[ii, jj] == 0]
+    if metric is MetricId.NC:
+        f = (v * np.exp(w - w[-1])) @ v.T
+        tr = np.trace(f) + (math.cosh(1) - 1) * (f[ii, ii] + f[jj, jj]) + 2 * math.sinh(1) * f[ii, jj]
+        return ii, jj, w[-1] + np.log(tr / n)
+    ub, step = [np.empty(0)], max(1, _BATCH // (16 * n))  # blocks keep the (C, n) temporaries small
+    for i, j in ((ii[lo:lo + step], jj[lo:lo + step]) for lo in range(0, len(ii), step)):
+        vi, q = v[i], np.zeros((len(i), 3))
+        if op == "merge":
+            d = a[j] * (1.0 - a[i])
+            d[np.arange(len(i)), i] = 0.0
+            dv, s, q = d @ v, np.sqrt(d.sum(axis=1)), v[j, -3:]
+        else:
+            dv, s = v[j], np.ones(len(i))
+        vy = dv / np.maximum(s, 1.0)[:, None]
+        terms, lo, hi = np.stack([vi * vi, vy * vy, vi * vy], axis=1), np.full(len(i), w[-1]), w[-1] + s
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for _ in range(16):  # hi stays above the root, within s / 2^16
+                mid = (lo + hi) / 2
+                pii, pyy, piy = (terms / (mid[:, None, None] - w)).sum(axis=2).T
+                above = s * (piy + np.sqrt(pii * pyy)) > 1.0
+                lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+        g2 = 1.0 - (q * q).sum(axis=1)
+        g = np.sqrt(np.maximum(g2, 1e-4))
+        q_s = q / np.sqrt(g * (1.0 + g))[:, None]
+        h = np.eye(3) + q_s[:, :, None] * q_s[:, None]
+        x = vi[:, None, -3:] * dv[:, -3:, None] - (q * w[-3:])[:, None] * q[:, :, None]
+        ritz = np.linalg.eigvalsh(h @ (np.diag(w[-3:]) + x + x.transpose(0, 2, 1)) @ h)[:, -2]
+        floor = w[-3] if op != "merge" else (w[-4] if n >= 4 else -np.inf)
+        ub.append(np.where(g2 < 1e-4, np.inf, hi - np.maximum(ritz, floor)))
+    return ii, jj, np.concatenate(ub)
+
+
+def best_candidate(a: np.ndarray, metric: MetricId | str, op: str) -> tuple[int, int, float] | None:
+    """The best ``candidate_scores`` edit as (i, j, value); ties to the first pair, None if none.
+
+    SG edits and NC additions are scored exactly (``MATRIX_FUNCS`` on the
+    edited matrix) in descending order of ``_spectral_bounds`` until the
+    next bound falls below the best value found, so the choice is the
+    exhaustive one. A non-finite bound always gets scored.
+    """
+    metric = MetricId(metric)
+    if len(a) < 3 or not (metric is MetricId.SG or (metric is MetricId.NC and op == "add_edge")):
+        sign = METRIC_DIRECTION[metric]
+        return max(candidate_scores(a, metric, op), key=lambda c: sign * c[2], default=None)
+    ii, jj, ub = _spectral_bounds(a, metric, op)
+    ub = np.where(np.isfinite(ub), ub, np.inf)
+    best = val = None
+    for x in np.argsort(-ub, kind="stable").tolist():
+        # the slack covers rounding in the eigendecomposition and the exact spectra
+        if best is not None and ub[x] < val - 1e-7 * (1.0 + abs(val)):
+            break
+        y = MATRIX_FUNCS[metric](_edited(a, op, int(ii[x]), int(jj[x])))
+        if best is None or y > val or (y == val and x < best):
+            best, val = x, y
+    return None if best is None else (int(ii[best]), int(jj[best]), val)
+
+
 def greedy_improve(g: Graph, metric: MetricId | str, op: str, rounds: int,
                    record: Sequence[MetricId] = tuple(MetricId)) -> StudyTrace:
     """Exhaustive greedy on one measure by merging or adding edges.
 
-    Each round scores the target measure (``candidate_scores``) for
-    every node pair (merge) or every absent edge (add_edge), applies
-    the best candidate even if it does not improve, and records all
-    requested measures. Candidates on which the measure is undefined are
-    skipped; exact ties go to the first pair in ``combinations`` order.
+    Each round applies the best of every node pair (merge) or every
+    absent edge (add_edge) by the target measure, as ``best_candidate``
+    finds it, even if it does not improve, and records all requested
+    measures. Candidates on which the measure is undefined are skipped;
+    exact ties go to the first pair in ``combinations`` order.
     """
     metric = MetricId(metric)
     if op not in ("merge", "add_edge"):
         raise ValueError(f"op must be 'merge' or 'add_edge', not {op!r}")
-    sign = METRIC_DIRECTION[metric]
     work = g.copy()
     rows = [TraceRow("baseline", compute_metrics(work, record))]
     for _ in range(rounds):
-        best = best_val = None
-        for i, j, val in candidate_scores(_adjacency_matrix(work), metric, op):
-            if best_val is None or sign * val > sign * best_val:
-                best = (i, j)
-                best_val = val
+        best = best_candidate(_adjacency_matrix(work), metric, op)
         if best is None:
             break
-        u, v = (work.nodes()[x] for x in best)
+        u, v = (work.nodes()[x] for x in best[:2])
         label = f"{op}({work.label(u)},{work.label(v)})"
         if op == "merge":
             work._merge_inplace(u, v)

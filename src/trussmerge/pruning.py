@@ -25,13 +25,13 @@ class NodePartition:
 
 
 def partition_nodes(g: Graph, d: TrussDecomposition, k: int) -> NodePartition:
-    """Split nodes by membership in the (k-1)-truss.
+    """Split nodes by membership in the (k-1)-truss; a node with no edge is outside.
 
     ``inside_neighbors`` is defined for every node of g, inside ones
     included, as its plain neighborhood intersected with the inside set.
     """
     tnode = node_trussness(d, g)
-    inside = {v for v, t in tnode.items() if t >= k - 1}
+    inside = {v for v, t in tnode.items() if t >= k - 1 and g.adj[v]}
     inside_neighbors = {v: ns & inside for v, ns in g.adj.items()}
     outside = set(g.adj) - inside
     return NodePartition(inside, outside, inside_neighbors)

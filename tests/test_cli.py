@@ -236,6 +236,32 @@ def test_filtered_rd_report_is_frozen(tmp_path, monkeypatch):
     assert hashlib.sha256(data).hexdigest() == FILTERED_RD_SHA256
 
 
+# `robustness-study ... --rounds 2 --seed 1 --out study.csv`: digests of the CSVs
+# from the greedy that scored every SG/NC candidate with its own spectrum
+ER50 = ["--model", "er", "--n", "50", "--p", "0.1"]
+WS40 = ["--model", "ws", "--n", "40", "--k-nbrs", "4", "--p", "0.2"]
+HK40 = ["--model", "hk", "--n", "40", "--attach", "2", "--p", "0.5"]
+STUDY_SHA256 = {
+    ("er", "SG", "merge"): "38bd5fe0303c9d68afd4bcd89fce6ecd7c35dc7236a2630f73e96c00fce3c293",
+    ("er", "SG", "add_edge"): "ef197cf603fd324071f168c709cd67b9db3b7f03c5295037847b6bc80dfe4f31",
+    ("er", "NC", "merge"): "086f9b6ff06c40ca2891452f9509b2e6d47a35f94b5363e9dec48d8d2358813e",
+    ("er", "NC", "add_edge"): "ec0dff7921091fc148a0c8c1a39320214f869c59e2a33323dc4f03981f92c259",
+    ("ws", "SG", "merge"): "85eecd3b27b015bef506ce76a63890e8487b46e21bf848d38d0d2017cfe0bdb2",
+    ("ws", "NC", "add_edge"): "3c47872889c43ce770b81860167a321b74db652fb24e6747e6847d2c6bf7f8e8",
+    ("hk", "SG", "add_edge"): "f0da81efe481a36915d7b13b09f82d9574d6d34f09ef0d9d3484b80b8c0c8b3b",
+    ("hk", "NC", "merge"): "093f0bdbdb1a3488513266cfcf8e86038d95051f4839d4229bb2618110d08e77",
+}
+
+
+@pytest.mark.parametrize("model, metric, op", sorted(STUDY_SHA256))
+def test_robustness_study_output_is_frozen(tmp_path, model, metric, op):
+    out = tmp_path / "study.csv"
+    flags = {"er": ER50, "ws": WS40, "hk": HK40}[model]
+    assert main(["robustness-study", *flags, "--metric", metric, "--op", op,
+                 "--rounds", "2", "--seed", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == STUDY_SHA256[(model, metric, op)]
+
+
 def test_compare_grid(graph_a_file, capsys):
     assert main(["compare", graph_a_file, "--k", "4,5", "--methods", "BM,RD",
                  "--trials", "3", "--budget", "2", "--nc", "4",

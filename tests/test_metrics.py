@@ -22,8 +22,10 @@ from trussmerge import (Graph, MetricId, METRIC_DIRECTION, average_distance,
                         natural_connectivity, pearson_r, spectral_gap,
                         transitivity)
 
+from trussmerge import metrics
 from trussmerge.metrics import (MATRIX_FUNCS, METRIC_FUNCS, _adjacency_matrix,
-                                candidate_matrices, candidate_scores)
+                                _spectral_bounds, best_candidate, candidate_matrices,
+                                candidate_scores)
 
 import oracles as orc
 from conftest import gnp_edges
@@ -149,16 +151,21 @@ def test_candidate_matrices_match_graph_edits(op, n, p, seed):
 
 
 def test_greedy_exact_ties_go_to_first_pair():
-    # C6 is vertex-transitive, so every best edit has tied rotations
+    # C6 is vertex-transitive, so every best edit has tied rotations; the spectra
+    # of rotated matrices may differ in the last bits, so SG and NC ties are near ties
     c6 = Graph.from_edges([(i, (i + 1) % 6) for i in range(6)])
-    for metric, op in ((MetricId.VB, "add_edge"), (MetricId.EB, "merge"), (MetricId.AD, "merge")):
+    cases = [(MetricId.VB, "add_edge"), (MetricId.EB, "merge"), (MetricId.AD, "merge")]
+    cases += [(m, op) for m in (MetricId.SG, MetricId.NC) for op in ("merge", "add_edge")]
+    for metric, op in cases:
+        sign = METRIC_DIRECTION[metric]
         values = {}
         for u, v in combinations(c6.nodes(), 2):
             if op == "merge" or not c6.has_edge(u, v):
                 values[(u, v)] = METRIC_FUNCS[metric](_edited_graph(c6, op, u, v))
-        best = min(values.values())
+        best = max(values.values(), key=lambda x: sign * x)
         tied = [pair for pair, val in values.items() if val == best]
-        assert len(tied) >= 2
+        near = [pair for pair, val in values.items() if abs(val - best) <= 1e-12 * abs(best)]
+        assert len(near) >= 2 and (len(tied) >= 2 or metric in (MetricId.SG, MetricId.NC))
         trace = greedy_improve(c6, metric, op, 1)
         assert trace.rows[1].operation == "{}({},{})".format(op, *tied[0])
         assert trace.rows[1].values[metric.value] == best
@@ -199,6 +206,74 @@ def test_candidate_scores_match_candidate_matrices(metric, op):
             assert values == pytest.approx([v for _, _, v in want], rel=1e-9, abs=1e-12)
         else:
             assert values == [v for _, _, v in want]
+
+
+BOUNDED = [(MetricId.SG, "merge"), (MetricId.SG, "add_edge"), (MetricId.NC, "add_edge")]
+
+
+def _spectral_cases() -> list[Graph]:
+    """``_scoring_cases`` plus larger, disconnected and repeated-eigenvalue graphs."""
+    two_k4 = [(u + s, v + s) for s in (0, 4) for u, v in combinations(range(4), 2)]
+    return _scoring_cases() + [gen_er(50, 0.1, 1), gen_er(30, 0.04, 2), gen_ws(30, 4, 0.2, 3),
+                               gen_hk(40, 2, 0.5, 4), Graph.from_edges(two_k4),
+                               Graph.from_edges([(i, (i + 1) % 5) for i in range(5)] +
+                                                [(i + 5, (i + 1) % 5 + 5) for i in range(5)])]
+
+
+@pytest.mark.parametrize("metric, op", BOUNDED)
+def test_spectral_bounds_hold_for_every_candidate(metric, op):
+    for g in _spectral_cases():
+        a = _adjacency_matrix(g)
+        if len(a) < 3:
+            continue  # best_candidate scans these directly
+        ii, jj, ub = _spectral_bounds(a, metric, op)
+        exact = list(candidate_scores(a, metric, op))
+        assert list(zip(ii.tolist(), jj.tolist())) == [(i, j) for i, j, _ in exact]
+        for (_, _, val), bound in zip(exact, ub.tolist()):
+            assert not bound < val - 1e-12 * (1.0 + abs(val))
+
+
+@pytest.mark.parametrize("op", ["merge", "add_edge"])
+@pytest.mark.parametrize("metric", list(MetricId))
+def test_best_candidate_is_the_first_best_score(metric, op):
+    sign = METRIC_DIRECTION[metric]
+    spectral = metric in (MetricId.SG, MetricId.NC)
+    for g in _spectral_cases() if spectral else _scoring_cases():
+        a = _adjacency_matrix(g)
+        want = None
+        for i, j, val in candidate_scores(a, metric, op):
+            if want is None or sign * val > sign * want[2]:
+                want = (i, j, val)
+        assert best_candidate(a, metric, op) == want
+
+
+def test_best_candidate_on_degenerate_graphs():
+    k6 = _adjacency_matrix(Graph.from_edges(list(combinations(range(6), 2))))
+    for metric in (MetricId.SG, MetricId.NC):
+        assert best_candidate(k6, metric, "add_edge") is None
+        for op in ("merge", "add_edge"):
+            assert best_candidate(np.zeros((0, 0)), metric, op) is None
+            assert best_candidate(np.zeros((1, 1)), metric, op) is None
+            # every edit of an edgeless graph scores the same, so the first pair wins
+            for n in (2, 3, 5):
+                assert best_candidate(np.zeros((n, n)), metric, op)[:2] == (0, 1)
+
+
+@pytest.mark.parametrize("metric, op", BOUNDED)
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_non_finite_bounds_are_scored(monkeypatch, metric, op, bad):
+    a = _adjacency_matrix(gen_er(20, 0.2, 7))
+    want = best_candidate(a, metric, op)
+
+    def spoiled(a, metric, op):
+        ii, jj, ub = _spectral_bounds(a, metric, op)
+        ub = ub.copy()
+        ub[(ii == want[0]) & (jj == want[1])] = bad
+        ub[::5] = -np.inf
+        return ii, jj, ub
+
+    monkeypatch.setattr(metrics, "_spectral_bounds", spoiled)
+    assert best_candidate(a, metric, op) == want
 
 
 def test_effective_resistance_matches_pinv_oracle(rng):

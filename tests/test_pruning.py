@@ -5,7 +5,9 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from trussmerge import Graph, partition_nodes, prune_outside_maximal, truss_decompose
+from trussmerge import (Graph, gen_er, gen_hk, partition_nodes, prune_outside_maximal,
+                        truss_decompose)
+from trussmerge.search import build_round_state
 
 import oracles as orc
 from test_decomposition import graph_a
@@ -83,3 +85,13 @@ def test_prune_on_partition(rng):
         want = orc.maximal_sets_oracle(
             {v: frozenset(p.inside_neighbors[v]) for v in p.outside})
         assert kept == want
+
+
+def test_partition_inside_matches_round_state():
+    # node trussness is 2 for a node with no edge, yet such a node is not in the (k-1)-truss
+    cases = [Graph.from_edges([(0, 1), (1, 2), (0, 2)], nodes=range(6)),
+             gen_er(40, 0.15, 3), gen_er(30, 0.08, 5), gen_hk(50, 3, 0.6, 2)]
+    for g in cases:
+        d = truss_decompose(g)
+        for k in range(3, 7):
+            assert partition_nodes(g, d, k).inside == build_round_state(g, k).partition.inside
