@@ -449,8 +449,9 @@ def _spectral_bounds(a: np.ndarray, metric: MetricId, op: str) -> tuple[np.ndarr
         f = (v * np.exp(w - w[-1])) @ v.T
         tr = np.trace(f) + (math.cosh(1) - 1) * (f[ii, ii] + f[jj, jj]) + 2 * math.sinh(1) * f[ii, jj]
         return ii, jj, w[-1] + np.log(tr / n)
+    floor = w[-3] if op != "merge" else (w[-4] if n >= 4 else -np.inf)
     ub, step = [np.empty(0)], max(1, _BATCH // (16 * n))  # blocks keep the (C, n) temporaries small
-    for i, j in ((ii[lo:lo + step], jj[lo:lo + step]) for lo in range(0, len(ii), step)):
+    for i, j in ((ii[k:k + step], jj[k:k + step]) for k in range(0, len(ii), step)):
         vi, q = v[i], np.zeros((len(i), 3))
         if op == "merge":
             d = a[j] * (1.0 - a[i])
@@ -472,7 +473,6 @@ def _spectral_bounds(a: np.ndarray, metric: MetricId, op: str) -> tuple[np.ndarr
         h = np.eye(3) + q_s[:, :, None] * q_s[:, None]
         x = vi[:, None, -3:] * dv[:, -3:, None] - (q * w[-3:])[:, None] * q[:, :, None]
         ritz = np.linalg.eigvalsh(h @ (np.diag(w[-3:]) + x + x.transpose(0, 2, 1)) @ h)[:, -2]
-        floor = w[-3] if op != "merge" else (w[-4] if n >= 4 else -np.inf)
         ub.append(np.where(g2 < 1e-4, np.inf, hi - np.maximum(ritz, floor)))
     return ii, jj, np.concatenate(ub)
 
