@@ -6,10 +6,11 @@ in a fresh process, for the benchmark's ``run_seconds``, then once more
 with ``--trace 1`` on seed 1 for its per-layer record. Last, the tier-1
 test suite runs once, with its wall seconds, passed/failed counts and
 five slowest tests (pytest's ``--durations=5``) recorded. The file
-holds the git revision, the size of the package source (its digest and
+holds the git revision, the size of the package source (its digest,
 ``src_lines``, the newline count of ``src/trussmerge/*.py`` as ``wc -l``
-gives it), the machine, every run's end-to-end metrics and their
-per-workload medians and quartiles. With
+gives it, and the same count per file as ``src_lines_by_file``), the
+machine, every run's end-to-end metrics and their per-workload medians
+and quartiles. With
 ``--baseline DIR`` every run is paired with the same run in another
 checkout (for example the parent commit), alternating which side goes
 first, and a second file ``BENCH_<baseline-label>.json`` is written for
@@ -45,6 +46,11 @@ def parse_seeds(text: str) -> list[int]:
         lo, _, hi = part.partition("-")
         seeds.extend(range(int(lo), int(hi or lo) + 1))
     return seeds
+
+
+def src_lines_by_file(root: Path) -> dict[str, int]:
+    """Newline count of each ``src/trussmerge/*.py``, as ``wc -l`` gives it, by file name."""
+    return {p.name: p.read_bytes().count(b"\n") for p in sorted((root / "src" / "trussmerge").glob("*.py"))}
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -88,10 +94,11 @@ def summarize(root: Path, label: str, runs: dict[str, list[dict]], traced: dict[
     machine = next(iter(traced.values()))["machine"]
     dirty = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=root,
                            capture_output=True, text=True).stdout.strip() != ""
-    src_lines = sum(p.read_bytes().count(b"\n") for p in (root / "src" / "trussmerge").glob("*.py"))
+    by_file = src_lines_by_file(root)
     out = {
         "label": label, "git_revision": machine["git_revision"], "src_uncommitted": dirty,
-        "src_sha256_16": machine["src_sha256_16"], "src_lines": src_lines, "nproc": machine["nproc"],
+        "src_sha256_16": machine["src_sha256_16"], "src_lines": sum(by_file.values()),
+        "src_lines_by_file": by_file, "nproc": machine["nproc"],
         "cpu_model": machine["cpu_model"], "python": machine["python"],
         "seconds": seconds, "seeds": seeds, "trace_seed": TRACE_SEED,
         "workloads": {}, "tier1": tier1,

@@ -14,7 +14,8 @@ from .candidates import (CandidateMerger, ConstraintFilter, MergerKind,
                          load_coordinates, new_inside_neighbors, phse,
                          top_inside_nodes, top_outside_nodes)
 from .search import (Method, MergerPlan, MergerStep, ObjectiveValue, RunConfig,
-                     adaptive_search, adaptive_update, objective, run_method)
+                     adaptive_search, adaptive_update, build_round_state, objective,
+                     run_method)
 from .baselines import (FixtureSpec, baseline_ne, baseline_nt, baseline_rd,
                         brute_force_best_merger, hardness_fixture, naive_greedy,
                         nonsubmodularity_witness, set_merge_pairs)
@@ -39,7 +40,7 @@ __all__ = [
     "incident_prospects", "load_coordinates", "new_inside_neighbors", "phse",
     "top_inside_nodes", "top_outside_nodes",
     "Method", "MergerPlan", "MergerStep", "ObjectiveValue", "RunConfig",
-    "adaptive_search", "adaptive_update", "objective", "run_method",
+    "adaptive_search", "adaptive_update", "build_round_state", "objective", "run_method",
     "FixtureSpec", "baseline_ne", "baseline_nt", "baseline_rd",
     "brute_force_best_merger", "hardness_fixture", "naive_greedy",
     "nonsubmodularity_witness", "set_merge_pairs",

@@ -131,7 +131,7 @@ def baseline_rd(g: Graph, cfg: RunConfig) -> MergerPlan:
 def _ne_candidates(cfg: RunConfig, state: ScoringContext, rng: random.Random,
                   n_io: int) -> list[CandidateMerger]:
     inside = state.ranking[:cfg.n_i]
-    outside = top_outside_nodes(state.pruned, state.partition.inside_neighbors, cfg.n_o)
+    outside = top_outside_nodes(state, cfg.n_o)
     return best_pairs(MergerKind.IOM, inside, outside, cfg.n_c, cfg.filter, state.z_sizes(inside, outside))
 
 
@@ -148,7 +148,7 @@ def _nt_candidates(cfg: RunConfig, state: ScoringContext, rng: random.Random,
                   n_io: int) -> list[CandidateMerger]:
     # with E(S) the inside edges within S, the union's E less the parts' is the inside cross form
     top = state.ranking[:cfg.n_i]
-    outside = top_outside_nodes(state.pruned, state.partition.inside_neighbors, cfg.n_o)
+    outside = top_outside_nodes(state, cfg.n_o)
     x, y, c, edges = state.rows(top), state.rows(outside), state.col[top], state.inside_edges
     n1 = _int(x.sum(1))
     # adjacent nodes leave the union with |N1| + |N2| - 1 edges; their |N1 & N2| triangles count once

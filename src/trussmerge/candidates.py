@@ -25,9 +25,9 @@ from itertools import chain
 
 import numpy as np
 
-from .decomposition import TrussDecomposition, TrussView
-from .graph import Edge, Graph, NodeId, ParseError, canon
-from .pruning import NodePartition, prune_outside_maximal
+from .decomposition import TrussView
+from .graph import Edge, NodeId, ParseError, canon
+from .pruning import NodePartition
 
 EARTH_RADIUS_KM = 6371.0
 EXACT_F32 = 2 ** 24  # float32 holds every integer below this exactly
@@ -247,77 +247,61 @@ class ScoringContext:
         return int(helped[0, 0]), int(z[0, 0])
 
 
-def _context(g: Graph, d: TrussDecomposition | None, p: NodePartition, k: int,
-             ctx: ScoringContext | None = None) -> ScoringContext:
-    """The given round context, or one built from (g, p, k) for the (g, d, p, k) wrappers."""
-    if ctx is not None:
-        return ctx
-    if d is None:
-        raise ValueError("either a decomposition or a scoring context is required")
-    return ScoringContext(TrussView.compute(g, k), p,
-                          prune_outside_maximal(p.outside, p.inside_neighbors))
-
-
-def incident_prospects(p: NodePartition, d: TrussDecomposition, g: Graph, k: int, v: NodeId) -> set[NodeId]:
+def incident_prospects(ctx: ScoringContext, v: NodeId) -> set[NodeId]:
     """Inside neighbors of v not already its k-truss neighbors."""
-    if v not in p.inside:
+    if v not in ctx.partition.inside:
         raise ValueError(f"node {v} is not an inside node")
-    tr = d.edge_trussness
-    return {w for w in p.inside_neighbors[v] if tr.get(canon(v, w), 0) < k}
+    return ctx.partition.inside_neighbors[v] - ctx.view.tk_adj.get(v, set())
 
 
-def top_inside_nodes(p: NodePartition, d: TrussDecomposition, g: Graph, k: int, n_i: int) -> list[NodeId]:
+def top_inside_nodes(ctx: ScoringContext, n_i: int) -> list[NodeId]:
     """Inside nodes by descending incident-prospect count, ids break ties."""
-    return _context(g, d, p, k).ranking[:n_i]
+    return ctx.ranking[:n_i]
 
 
-def top_outside_nodes(pruned: set[NodeId], inside_nbrs: dict[NodeId, set[NodeId]], n_o: int) -> list[NodeId]:
+def top_outside_nodes(ctx: ScoringContext, n_o: int) -> list[NodeId]:
     """Pruned outside nodes by descending inside-degree, ids break ties."""
-    scored = sorted((-len(inside_nbrs[v]), v) for v in pruned)
-    return [v for _, v in scored[:n_o]]
+    nb = ctx.partition.inside_neighbors
+    return sorted(ctx.pruned, key=lambda v: (-len(nb[v]), v))[:n_o]
 
 
-def _star(g: Graph, d: TrussDecomposition, p: NodePartition, k: int, v_i: NodeId, v_o: NodeId):
-    """(context, N1 row, u row), u = N2 - N1 - v_i: the far ends of the star edges the merge adds."""
-    if v_i not in p.inside:
+def _star(ctx: ScoringContext, v_i: NodeId, v_o: NodeId) -> tuple[np.ndarray, np.ndarray]:
+    """(N1 row, u row), u = N2 - N1 - v_i: the far ends of the star edges the merge adds."""
+    if v_i not in ctx.partition.inside:
         raise ValueError(f"node {v_i} is not an inside node")
-    ctx = _context(g, d, p, k)
     x, y = ctx.rows([v_i, v_o])
     y[ctx.col[v_i]] = 0
-    return ctx, x, y * (1 - x)
+    return x, y * (1 - x)
 
 
-def new_inside_neighbors(g: Graph, d: TrussDecomposition, p: NodePartition, k: int,
-                         v_i: NodeId, v_o: NodeId) -> set[NodeId]:
+def new_inside_neighbors(ctx: ScoringContext, v_i: NodeId, v_o: NodeId) -> set[NodeId]:
     """Nodes the merged node would newly reach inside the (k-1)-truss.
 
     Z = (inside nbrs of either endpoint) minus v_i and its (k-1)-truss
     edge neighbors; the merge adds the star {(v_i, z) : z in Z}.
     """
-    ctx, x, u = _star(g, d, p, k, v_i, v_o)
+    x, u = _star(ctx, v_i, v_o)
     return {ctx.order[i] for i in np.flatnonzero((x + u) * (1 - ctx.rows([v_i], ctx.view.adj_km1)[0]))}
 
 
-def phse(g: Graph, d: TrussDecomposition, p: NodePartition, k: int,
-         v_i: NodeId, v_o: NodeId) -> set[Edge]:
+def phse(ctx: ScoringContext, v_i: NodeId, v_o: NodeId) -> set[Edge]:
     """Shell edges whose support rises once the merger's star is added.
 
     Lists the edges :meth:`ScoringContext.iom_scores` counts: (x, y) with
     x in u and y in u or N1, and (v_i, w) with w adjacent to u.
     """
-    ctx, x, u = _star(g, d, p, k, v_i, v_o)
+    x, u = _star(ctx, v_i, v_o)
     (a, b), sh = ctx.shell_edges, ctx.shell_neighbors(v_i)
     hit = u[a] * (x + u)[b] + u[b] * (x + u)[a] > 0
     return {canon(ctx.order[e], ctx.order[f]) for e, f in zip(a[hit], b[hit])} \
         | {canon(v_i, w) for w, n in zip(sh, ctx.rows(sh) @ u) if n > 0}
 
 
-def iim_score(g: Graph, d: TrussDecomposition, p: NodePartition, k: int,
-              v1: NodeId, v2: NodeId) -> int:
+def iim_score(ctx: ScoringContext, v1: NodeId, v2: NodeId) -> int:
     """Reward/penalty score for merging two inside nodes."""
-    if v1 == v2 or v1 not in p.inside or v2 not in p.inside:
+    if v1 == v2 or not {v1, v2} <= ctx.partition.inside:
         raise ValueError(f"iim_score needs two distinct inside nodes, got {v1} and {v2}")
-    return _iim_score(_context(g, d, p, k), v1, v2)
+    return _iim_score(ctx, v1, v2)
 
 
 def _iim_score(ctx: ScoringContext, v1: NodeId, v2: NodeId) -> int:
@@ -338,21 +322,15 @@ def best_pairs(kind: MergerKind, rows: list[NodeId], cols: list[NodeId], n_c: in
     return [CandidateMerger(int(v1[m]), int(v2[m]), kind, int(s[m]), int(t[m])) for m in pick]
 
 
-def find_iom_candidates(g: Graph, d: TrussDecomposition | None, p: NodePartition, k: int,
-                        n_i: int, n_o: int, n_c: int,
-                        cfilter: ConstraintFilter | None = None, *,
-                        ctx: ScoringContext | None = None) -> list[CandidateMerger]:
+def find_iom_candidates(ctx: ScoringContext, n_i: int, n_o: int, n_c: int,
+                        cfilter: ConstraintFilter | None = None) -> list[CandidateMerger]:
     """Top n_c inside-outside mergers from the focused node pools, by |PHSE| then |Z|."""
-    ctx = _context(g, d, p, k, ctx)
-    inside, outside = ctx.ranking[:n_i], top_outside_nodes(ctx.pruned, ctx.partition.inside_neighbors, n_o)
+    inside, outside = ctx.ranking[:n_i], top_outside_nodes(ctx, n_o)
     return best_pairs(MergerKind.IOM, inside, outside, n_c, cfilter, *ctx.iom_scores(inside, outside))
 
 
-def find_iim_candidates(g: Graph, d: TrussDecomposition | None, p: NodePartition, k: int,
-                        n_i: int, n_c: int,
-                        cfilter: ConstraintFilter | None = None, *,
-                        ctx: ScoringContext | None = None) -> list[CandidateMerger]:
+def find_iim_candidates(ctx: ScoringContext, n_i: int, n_c: int,
+                        cfilter: ConstraintFilter | None = None) -> list[CandidateMerger]:
     """Top n_c inside-inside mergers among the focused inside nodes."""
-    ctx = _context(g, d, p, k, ctx)
     top = ctx.ranking[:n_i]
     return best_pairs(MergerKind.IIM, top, top, n_c, cfilter, ctx.iim_scores(top))

@@ -326,6 +326,6 @@ class TrussView:
         return size - len(_peel(adj, sup, self.k))
 
 
-def post_merger_truss_size(g: Graph, d: TrussDecomposition, k: int, v1: NodeId, v2: NodeId) -> int:
+def post_merger_truss_size(g: Graph, k: int, v1: NodeId, v2: NodeId) -> int:
     """k-truss edge count after merging v2 into v1; equals full recompute."""
     return TrussView.compute(g, k).truss_size_after_merge(v1, v2)

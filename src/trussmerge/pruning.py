@@ -23,18 +23,15 @@ class NodePartition:
     outside: set[NodeId]
     inside_neighbors: dict[NodeId, set[NodeId]]
 
+    @classmethod
+    def of(cls, g: Graph, inside: set[NodeId]) -> "NodePartition":
+        """Split g's nodes around ``inside``; every node, inside ones too, gets its inside neighbors."""
+        return cls(inside, set(g.adj) - inside, {v: ns & inside for v, ns in g.adj.items()})
+
 
 def partition_nodes(g: Graph, d: TrussDecomposition, k: int) -> NodePartition:
-    """Split nodes by membership in the (k-1)-truss; a node with no edge is outside.
-
-    ``inside_neighbors`` is defined for every node of g, inside ones
-    included, as its plain neighborhood intersected with the inside set.
-    """
-    tnode = node_trussness(d, g)
-    inside = {v for v, t in tnode.items() if t >= k - 1 and g.adj[v]}
-    inside_neighbors = {v: ns & inside for v, ns in g.adj.items()}
-    outside = set(g.adj) - inside
-    return NodePartition(inside, outside, inside_neighbors)
+    """Split nodes by membership in the (k-1)-truss, read from d; a node with no edge is outside."""
+    return NodePartition.of(g, {v for v, t in node_trussness(d, g).items() if t >= k - 1 and g.adj[v]})
 
 
 def prune_outside_maximal(outside: set[NodeId], inside_nbrs: dict[NodeId, set[NodeId]]) -> set[NodeId]:

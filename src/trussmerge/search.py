@@ -134,11 +134,9 @@ def _initial_n_io(cfg: RunConfig) -> int:
 
 
 def build_round_state(work: Graph, k: int, sup: dict[Edge, int] | None = None) -> ScoringContext:
-    """Recompute trusses, partition and pruning; ``sup`` as in :meth:`TrussView.compute`."""
+    """The round's ScoringContext (trusses, partition, pruning); ``sup`` as in :meth:`TrussView.compute`."""
     view = TrussView.compute(work, k, sup)
-    inside = view.nodes_km1
-    inside_neighbors = {v: ns & inside for v, ns in work.adj.items()}
-    p = NodePartition(inside, set(work.adj) - inside, inside_neighbors)
+    p = NodePartition.of(work, view.nodes_km1)
     return ScoringContext(view, p, prune_outside_maximal(p.outside, p.inside_neighbors))
 
 
@@ -149,14 +147,11 @@ CandidateSource = Callable[[RunConfig, ScoringContext, random.Random, int], list
 def _split_candidates(cfg: RunConfig, state: ScoringContext, rng: random.Random,
                       n_io: int) -> list[CandidateMerger]:
     """The top n_io IOM plus the top n_c - n_io IIM candidates."""
-    g, p = state.view.g, state.partition
     cands: list[CandidateMerger] = []
     if n_io > 0:
-        cands += find_iom_candidates(g, None, p, cfg.k, cfg.n_i, cfg.n_o, n_io, cfg.filter,
-                                     ctx=state)
+        cands += find_iom_candidates(state, cfg.n_i, cfg.n_o, n_io, cfg.filter)
     if cfg.n_c - n_io > 0:
-        cands += find_iim_candidates(g, None, p, cfg.k, cfg.n_i, cfg.n_c - n_io, cfg.filter,
-                                     ctx=state)
+        cands += find_iim_candidates(state, cfg.n_i, cfg.n_c - n_io, cfg.filter)
     return cands
 
 

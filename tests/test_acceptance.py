@@ -15,7 +15,7 @@ import pytest
 
 from trussmerge import (CORE_METRICS, FixtureSpec, Graph, METRIC_DIRECTION,
                         Method, MetricId, RunConfig, adaptive_search,
-                        brute_force_best_merger, correlation_study,
+                        brute_force_best_merger, build_round_state, correlation_study,
                         find_iim_candidates, find_iom_candidates, gen_er,
                         greedy_improve, hardness_fixture, is_connected,
                         k_truss_edges, node_trussness, nonsubmodularity_witness,
@@ -61,9 +61,8 @@ def test_criterion_02_incremental_equals_full_recompute(rng):
             edges = gnp_edges(rng, n, rng.uniform(0.05, 0.25))
             g = Graph.from_edges(edges, nodes=range(n))
             k = rng.randint(3, 6)
-            d = truss_decompose(g)
             v1, v2 = rng.sample(range(n), 2)
-            got = post_merger_truss_size(g, d, k, v1, v2)
+            got = post_merger_truss_size(g, k, v1, v2)
             want = orc.post_merger_truss_size_oracle(g.edge_set(), k, v1, v2)
             assert got == want, (sorted(edges), k, v1, v2)
         assert time.perf_counter() - started < 30.0
@@ -135,14 +134,14 @@ def test_criterion_06_helped_shell_edges_oracle(rng):
             edges = gnp_edges(rng, n, rng.uniform(0.2, 0.5))
             g = Graph.from_edges(edges, nodes=range(n))
             k = rng.randint(3, 5)
-            d = truss_decompose(g)
-            p = partition_nodes(g, d, k)
+            ctx = build_round_state(g, k)
+            p = ctx.partition
             pool = [(vi, vo) for vo in sorted(p.outside)
                     if p.inside_neighbors[vo] for vi in sorted(p.inside)]
             if not pool:
                 continue
             v1, v2 = rng.choice(pool)
-            got = phse(g, d, p, k, v1, v2)
+            got = phse(ctx, v1, v2)
             want = orc.phse_oracle(g.edge_set(), g.nodes(), k, v1, v2)
             assert got == want, (sorted(edges), k, v1, v2)
             done += 1
@@ -156,11 +155,10 @@ def test_criterion_07_full_pool_greedy_matches_brute_force(rng):
             edges = gnp_edges(rng, n, rng.uniform(0.08, 0.3))
             g = Graph.from_edges(edges, nodes=range(n))
             k = rng.randint(3, 5)
-            d = truss_decompose(g)
-            p = partition_nodes(g, d, k)
+            ctx = build_round_state(g, k)
             cap = n * n
-            iom = find_iom_candidates(g, d, p, k, cap, cap, cap)
-            iim = find_iim_candidates(g, d, p, k, cap, cap)
+            iom = find_iom_candidates(ctx, cap, cap, cap)
+            iim = find_iim_candidates(ctx, cap, cap)
             pool = [(c.v1, c.v2) for c in iom] + [(c.v1, c.v2) for c in iim]
             if not pool:
                 continue

@@ -8,16 +8,14 @@ import numpy as np
 import pytest
 
 from trussmerge import (CandidateMerger, ConstraintFilter, Graph, MergerKind,
-                        ParseError, find_iim_candidates, find_iom_candidates,
-                        haversine_km, iim_score, incident_prospects,
-                        load_coordinates, new_inside_neighbors, partition_nodes,
-                        phse, top_inside_nodes, top_outside_nodes,
-                        truss_decompose)
+                        ParseError, build_round_state, canon, find_iim_candidates,
+                        find_iom_candidates, haversine_km, iim_score,
+                        incident_prospects, load_coordinates, new_inside_neighbors,
+                        phse, top_inside_nodes, top_outside_nodes, truss_decompose)
 
 from trussmerge import candidates
-from trussmerge.candidates import _context
 from trussmerge.baselines import _ne_candidates, _nt_candidates
-from trussmerge.search import Method, RunConfig, build_round_state
+from trussmerge.search import Method, RunConfig
 
 import oracles as orc
 from conftest import gnp_edges
@@ -36,25 +34,21 @@ def graph_b() -> Graph:
 
 
 def ctx_b():
-    g = graph_b()
-    d = truss_decompose(g)
-    return g, d, partition_nodes(g, d, 4)
+    return build_round_state(graph_b(), 4)
 
 
 def test_frozen_partition_b():
-    g, d, p = ctx_b()
+    p = ctx_b().partition
     assert p.outside == {9}
     assert p.inside == set(range(12)) - {9}
 
 
 def test_frozen_z_set():
-    g, d, p = ctx_b()
-    assert new_inside_neighbors(g, d, p, 4, 0, 9) == {3}
+    assert new_inside_neighbors(ctx_b(), 0, 9) == {3}
 
 
 def test_frozen_phse():
-    g, d, p = ctx_b()
-    assert phse(g, d, p, 4, 0, 9) == {(0, 2), (0, 7)}
+    assert phse(ctx_b(), 0, 9) == {(0, 2), (0, 7)}
 
 
 def test_phse_matches_definition_oracle(rng):
@@ -63,21 +57,22 @@ def test_phse_matches_definition_oracle(rng):
         n = rng.randint(6, 20)
         g = Graph.from_edges(gnp_edges(rng, n, rng.uniform(0.2, 0.5)), nodes=range(n))
         k = rng.randint(3, 5)
-        d = truss_decompose(g)
-        p = partition_nodes(g, d, k)
+        ctx = build_round_state(g, k)
+        p = ctx.partition
         candidates = [(vi, vo) for vo in sorted(p.outside)
                       if p.inside_neighbors[vo] for vi in sorted(p.inside)]
         if not candidates:
             continue
         v1, v2 = rng.choice(candidates)
-        got = phse(g, d, p, k, v1, v2)
+        got = phse(ctx, v1, v2)
         want = orc.phse_oracle(g.edge_set(), g.nodes(), k, v1, v2)
         assert got == want, (sorted(g.edge_set()), k, v1, v2)
         done += 1
 
 
 def test_scoring_context_tables_match_sets(rng):
-    # rows, adjacencies and ranking are read back against the view and the decomposition
+    # rows and adjacencies are read back against the view; prospects and ranking against
+    # a fresh decomposition's trussness
     done = 0
     while done < 30:
         n = rng.randint(6, 24)
@@ -108,18 +103,19 @@ def test_scoring_context_tables_match_sets(rng):
         assert sorted((order[a], order[b]) for a, b in zip(*ctx.inside_edges)) == sorted(inside_edges)
         cols = np.array(sorted(rng.sample(range(len(order)), len(order) // 2)), int)
         assert (ctx.rows(order, cols=cols) == ctx.rows(order)[:, cols]).all()
-        d = truss_decompose(g)
-        want = sorted(p.inside, key=lambda v: (-len(incident_prospects(p, d, g, k, v)), v))
-        assert ctx.ranking == want
+        tr = truss_decompose(g).edge_trussness
+        prospects = {v: {w for w in p.inside_neighbors[v] if tr[canon(v, w)] < k} for v in order}
+        assert {v: incident_prospects(ctx, v) for v in order} == prospects
+        assert ctx.ranking == sorted(order, key=lambda v: (-len(prospects[v]), v))
         done += 1
 
 
 def test_frozen_iim_scores():
-    g, d, p = ctx_b()
-    assert iim_score(g, d, p, 4, 0, 1) == 1
-    assert iim_score(g, d, p, 4, 0, 2) == 0
-    assert iim_score(g, d, p, 4, 0, 3) == 0
-    assert iim_score(g, d, p, 4, 0, 4) == 2
+    ctx = ctx_b()
+    assert iim_score(ctx, 0, 1) == 1
+    assert iim_score(ctx, 0, 2) == 0
+    assert iim_score(ctx, 0, 3) == 0
+    assert iim_score(ctx, 0, 4) == 2
 
 
 def test_iim_score_matches_oracle(rng):
@@ -128,50 +124,45 @@ def test_iim_score_matches_oracle(rng):
         n = rng.randint(6, 20)
         g = Graph.from_edges(gnp_edges(rng, n, rng.uniform(0.25, 0.55)), nodes=range(n))
         k = rng.randint(3, 5)
-        d = truss_decompose(g)
-        p = partition_nodes(g, d, k)
-        if len(p.inside) < 2:
+        ctx = build_round_state(g, k)
+        if len(ctx.partition.inside) < 2:
             continue
-        v1, v2 = rng.sample(sorted(p.inside), 2)
-        got = iim_score(g, d, p, k, min(v1, v2), max(v1, v2))
+        v1, v2 = rng.sample(sorted(ctx.partition.inside), 2)
+        got = iim_score(ctx, min(v1, v2), max(v1, v2))
         want = orc.iim_score_oracle(g.edge_set(), k, min(v1, v2), max(v1, v2))
         assert got == want, (sorted(g.edge_set()), k, v1, v2)
         done += 1
 
 
 def test_iim_score_validations():
-    g, d, p = ctx_b()
+    ctx = ctx_b()
     with pytest.raises(ValueError):
-        iim_score(g, d, p, 4, 0, 0)
+        iim_score(ctx, 0, 0)
     with pytest.raises(ValueError):
-        iim_score(g, d, p, 4, 0, 9)  # 9 is outside
+        iim_score(ctx, 0, 9)  # 9 is outside
 
 
 def test_frozen_incident_prospects():
     g = graph_a()
-    d = truss_decompose(g)
-    p = partition_nodes(g, d, 4)
+    ctx = build_round_state(g, 4)
     ids = {g.label(v): v for v in g.nodes()}
-    assert incident_prospects(p, d, g, 4, ids["5"]) == {ids["6"], ids["7"]}
-    assert incident_prospects(p, d, g, 4, ids["0"]) == set()
+    assert incident_prospects(ctx, ids["5"]) == {ids["6"], ids["7"]}
+    assert incident_prospects(ctx, ids["0"]) == set()
     with pytest.raises(ValueError):
-        incident_prospects(p, d, g, 4, ids["8"])
+        incident_prospects(ctx, ids["8"])
 
 
 def test_frozen_top_nodes():
     g = graph_a()
-    d = truss_decompose(g)
-    p = partition_nodes(g, d, 4)
+    ctx = build_round_state(g, 4)
     lab = g.label
-    assert [lab(v) for v in top_inside_nodes(p, d, g, 4, 5)] == ["5", "6", "7", "0", "1"]
-    assert [lab(v) for v in top_outside_nodes({g.node_of("8")}, p.inside_neighbors, 3)] == ["8"]
+    assert [lab(v) for v in top_inside_nodes(ctx, 5)] == ["5", "6", "7", "0", "1"]
+    assert [lab(v) for v in top_outside_nodes(ctx, 3)] == ["8"]
 
 
 def test_frozen_iom_ranking():
     g = graph_a()
-    d = truss_decompose(g)
-    p = partition_nodes(g, d, 4)
-    cands = find_iom_candidates(g, d, p, 4, n_i=10, n_o=10, n_c=4)
+    cands = find_iom_candidates(build_round_state(g, 4), n_i=10, n_o=10, n_c=4)
     named = [(g.label(c.v1), g.label(c.v2), c.score, c.tiebreak) for c in cands]
     # 2, 3 and 4 can route shell edge (5,7) a new triangle through node 7;
     # from 0 the new neighbor 7 touches nothing reachable, so it scores 0
@@ -180,18 +171,9 @@ def test_frozen_iom_ranking():
     assert all(c.kind is MergerKind.IOM for c in cands)
 
 
-def test_finders_need_tables():
-    g, d, p = ctx_b()
-    with pytest.raises(ValueError):
-        find_iom_candidates(g, None, p, 4, 5, 5, 5)
-    with pytest.raises(ValueError):
-        find_iim_candidates(g, None, p, 4, 5, 5)
-
-
 def test_finders_deterministic_and_capped():
-    g, d, p = ctx_b()
-    a = find_iim_candidates(g, d, p, 4, n_i=8, n_c=5)
-    b = find_iim_candidates(g, d, p, 4, n_i=8, n_c=5)
+    a = find_iim_candidates(ctx_b(), n_i=8, n_c=5)
+    b = find_iim_candidates(ctx_b(), n_i=8, n_c=5)
     assert a == b
     assert len(a) == 5
     keys = [c.sort_key() for c in a]
@@ -210,12 +192,9 @@ def test_constraint_filter_rules():
 
 def test_constraint_filter_prunes_candidates():
     g = graph_a()
-    d = truss_decompose(g)
-    p = partition_nodes(g, d, 4)
     coords = {v: (0.0, 0.0) for v in g.nodes()}
     coords[g.node_of("0")] = (40.0, 0.0)  # push node 0 out of range
-    cands = find_iom_candidates(g, d, p, 4, 10, 10, 3,
-                                ConstraintFilter(coords, 100.0))
+    cands = find_iom_candidates(build_round_state(g, 4), 10, 10, 3, ConstraintFilter(coords, 100.0))
     assert g.node_of("0") not in {c.v1 for c in cands}
 
 
@@ -244,16 +223,16 @@ def test_finder_scores_match_oracles(rng):
         n = rng.randint(15, 40)
         g = Graph.from_edges(gnp_edges(rng, n, rng.uniform(0.15, 0.45)), nodes=range(n))
         k = rng.randint(3, 6)
-        d = truss_decompose(g)
-        p = partition_nodes(g, d, k)
-        if len(p.inside) < 2:
+        ctx = build_round_state(g, k)
+        inside = len(ctx.partition.inside)
+        if inside < 2:
             continue
         edges = g.edge_set()
-        iim = find_iim_candidates(g, d, p, k, n_i=n, n_c=n * n)
-        assert len(iim) == len(p.inside) * (len(p.inside) - 1) // 2
+        iim = find_iim_candidates(ctx, n_i=n, n_c=n * n)
+        assert len(iim) == inside * (inside - 1) // 2
         for c in rng.sample(iim, min(25, len(iim))):
             assert c.score == orc.iim_score_oracle(edges, k, c.v1, c.v2), (sorted(edges), k, c)
-        iom = find_iom_candidates(g, d, p, k, n_i=n, n_o=n, n_c=n * n)
+        iom = find_iom_candidates(ctx, n_i=n, n_o=n, n_c=n * n)
         for c in rng.sample(iom, min(25, len(iom))):
             assert c.score == len(orc.phse_oracle(edges, g.nodes(), k, c.v1, c.v2)), \
                 (sorted(edges), k, c)
@@ -281,25 +260,19 @@ def scoring_graph(rng):
     return Graph.from_edges(edges, nodes=range(n + rng.randint(0, 2))), shape
 
 
-def check_pools_match_oracles(g, k, n_i, n_o, cfilter, wrapped):
-    """Score every pool pair of BM, NE and NT through the products; compare each with the oracles.
-
-    The round state is the search loop's or, when ``wrapped``, the one the (g, d, p, k)
-    wrappers build, whose inside set is every node of trussness k-1 or more (at k=3,
-    isolated nodes too).
-    """
+def check_pools_match_oracles(g, k, n_i, n_o, cfilter):
+    """Score every pool pair of BM, NE and NT through the products; compare each with the oracles."""
     edges = g.edge_set()
-    d = truss_decompose(g)
-    ctx = _context(g, d, partition_nodes(g, d, k), k) if wrapped else build_round_state(g, k)
+    ctx = build_round_state(g, k)
     big = 10 ** 6
-    iim = find_iim_candidates(g, None, ctx.partition, k, n_i, big, cfilter, ctx=ctx)
-    iom = find_iom_candidates(g, None, ctx.partition, k, n_i, n_o, big, cfilter, ctx=ctx)
+    iim = find_iim_candidates(ctx, n_i, big, cfilter)
+    iom = find_iom_candidates(ctx, n_i, n_o, big, cfilter)
     for cands in (iim, iom):
         keys = [c.sort_key() for c in cands]
         assert keys == sorted(keys)
     admits = cfilter.allows if cfilter else lambda u, v: True
     top = ctx.ranking[:n_i]
-    outside = top_outside_nodes(ctx.pruned, ctx.partition.inside_neighbors, n_o)
+    outside = top_outside_nodes(ctx, n_o)
     assert {(c.v1, c.v2) for c in iim} == {(min(e), max(e)) for e in combinations(top, 2) if admits(*e)}
     assert {(c.v1, c.v2) for c in iom} == {(u, v) for u in top for v in outside if admits(u, v)}
     for c in iim:
@@ -334,7 +307,7 @@ def test_product_scores_match_oracles_on_every_pool_pair(rng):
             coords = {v: (rng.uniform(0, 1), rng.uniform(0, 1)) for v in g.nodes() if rng.random() < 0.9}
             cfilter = ConstraintFilter(coords, 80.0)
             seen.add("filter")
-        _, iim, iom = check_pools_match_oracles(g, k, n_i, rng.randint(1, 6), cfilter, done % 2 == 1)
+        _, iim, iom = check_pools_match_oracles(g, k, n_i, rng.randint(1, 6), cfilter)
         seen |= {shape, "n_i below" if n_i < inside else "n_i at or above"}
         if g.node_count > len(g.adj) or any(not ns for ns in g.adj.values()):
             seen.add("isolated")
@@ -353,10 +326,10 @@ def test_product_scores_exact_in_float64(rng, monkeypatch):
         k = rng.randint(3, 5)
         if len(build_round_state(g, k).partition.inside) < 2:
             continue
-        want = check_pools_match_oracles(g, k, g.node_count, g.node_count, None, done % 2 == 1)[1:]
+        want = check_pools_match_oracles(g, k, g.node_count, g.node_count, None)[1:]
         with monkeypatch.context() as m:
             m.setattr(candidates, "EXACT_F32", 0)
-            ctx, *got = check_pools_match_oracles(g, k, g.node_count, g.node_count, None, done % 2 == 1)
+            ctx, *got = check_pools_match_oracles(g, k, g.node_count, g.node_count, None)
             assert ctx.dtype is np.float64
         assert got == list(want)
         done += 1

@@ -1,6 +1,8 @@
 """Command-line behavior: formats, error codes, output stability."""
 
+import argparse
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -52,6 +54,25 @@ def test_decompose_empty_file_reports_an_empty_graph(tmp_path, capsys):
     assert capsys.readouterr().out == "k,nodes,edges,kmax\n2,0,0,2\n"
     assert main(["decompose", str(empty), "--k", "3"]) == 0
     assert capsys.readouterr().out == "k,nodes,edges,kmax\n3,0,0,2\n2,0,0,2\n"
+
+
+def test_repeated_runs_leave_no_parser_garbage(graph_a_file, tmp_path):
+    # a parser is cyclic garbage once dropped (a build leaves some too), so main reuses one
+    argv = ["decompose", graph_a_file, "--out", str(tmp_path / "sizes.csv")]
+    assert main(argv) == 0
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # collected objects stay in gc.garbage to be inspected
+    try:
+        for _ in range(2):
+            assert main(argv) == 0
+        gc.collect()
+        leaked = sorted({type(o).__name__ for o in gc.garbage
+                         if type(o).__module__ == "argparse" or isinstance(o, argparse.ArgumentParser)})
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert leaked == []
 
 
 @pytest.mark.parametrize("ks", ["-3", "0", "1", "3,0"])

@@ -216,12 +216,11 @@ def test_view_rejects_small_k():
 
 def test_frozen_post_merger_sizes():
     g = graph_a()
-    d = truss_decompose(g)
     ids = {g.label(v): v for v in g.nodes()}
-    assert post_merger_truss_size(g, d, 4, ids["0"], ids["4"]) == 9
-    assert post_merger_truss_size(g, d, 4, ids["0"], ids["5"]) == 9
-    assert post_merger_truss_size(g, d, 3, ids["1"], ids["6"]) == 14
-    assert post_merger_truss_size(g, d, 4, ids["0"], ids["8"]) == 11
+    assert post_merger_truss_size(g, 4, ids["0"], ids["4"]) == 9
+    assert post_merger_truss_size(g, 4, ids["0"], ids["5"]) == 9
+    assert post_merger_truss_size(g, 3, ids["1"], ids["6"]) == 14
+    assert post_merger_truss_size(g, 4, ids["0"], ids["8"]) == 11
 
 
 def test_post_merger_size_matches_oracle(rng):
@@ -229,9 +228,8 @@ def test_post_merger_size_matches_oracle(rng):
         n = rng.randint(4, 24)
         g = random_graph(rng, n, rng.uniform(0.15, 0.6))
         k = rng.randint(3, 5)
-        d = truss_decompose(g)
         v1, v2 = rng.sample(g.nodes(), 2)
-        got = post_merger_truss_size(g, d, k, v1, v2)
+        got = post_merger_truss_size(g, k, v1, v2)
         want = orc.post_merger_truss_size_oracle(g.edge_set(), k, v1, v2)
         assert got == want, (sorted(g.edge_set()), k, v1, v2)
 
@@ -304,9 +302,8 @@ def test_merge_evaluation_leaves_view_unchanged(rng):
 
 def test_post_merger_size_validations():
     g = graph_a()
-    d = truss_decompose(g)
     v = g.node_of("0")
     with pytest.raises(ValueError):
-        post_merger_truss_size(g, d, 4, v, v)
+        post_merger_truss_size(g, 4, v, v)
     with pytest.raises(ValueError):
-        post_merger_truss_size(g, d, 4, v, 999)
+        post_merger_truss_size(g, 4, v, 999)
