@@ -158,7 +158,7 @@ class ScoringContext:
 
     @cached_property
     def col(self) -> np.ndarray:
-        col = np.full(max(self.partition.inside_neighbors, default=-1) + 1, -1)
+        col = np.full(max(self.view.g.adj, default=-1) + 1, -1)
         col[self.order] = np.arange(len(self.order))
         return col
 
@@ -174,8 +174,8 @@ class ScoringContext:
     def rows(self, nodes, adj: dict[NodeId, set[NodeId]] | None = None,
              cols: np.ndarray | None = None) -> np.ndarray:
         """0/1 rows of adj[v] (default: inside neighbors; absent: empty) over all columns or ``cols``."""
-        adj = self.partition.inside_neighbors if adj is None else adj
-        r, c = self._entries([adj.get(v, ()) for v in nodes])
+        r, c = self._entries([self.partition.inside_neighbors[v] for v in nodes] if adj is None
+                             else [adj.get(v, ()) for v in nodes])
         if cols is not None:
             at = np.full(len(self.order), -1)
             at[cols] = np.arange(len(cols))

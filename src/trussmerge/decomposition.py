@@ -5,7 +5,7 @@ at least k-2 triangles. Edge trussness t(e) is the largest k whose k-truss
 contains e (floor 2). ``post_merger_truss_size`` evaluates how large the
 k-truss becomes after merging a node pair without rebuilding the whole
 graph: only the (k-1)-truss R, with the pair's edges replaced by the
-merged node's star (call it R'), can matter.
+merged node's star (call it R*), can matter.
 
 Evaluation lifts shell edges (R minus the k-truss T_k) in the order ``pos``
 in which peeling R removed them, then peels H = T_k + star + lifted. It is
@@ -14,14 +14,49 @@ Popped, f would pass the lift test, so it never was: it has no star
 triangle (those seed the heap) and no T' triangle with a lifted edge (one
 is fresh at its earliest lifted edge, which pushes f). So its k-2 T'
 triangles are old, with T_k or later shell edges, and the peel could not
-have removed f. Hence T' <= H <= R', and the k-truss of H is T'.
+have removed f. Hence T' <= H <= R*, and the k-truss of H is T'.
+
+``TrussView.merge`` carries the view across an executed merge, so that it
+equals ``compute`` on the merged graph G'. Write N' for the merged node's
+neighbours, R' for the (k-1)-truss of G'. T' and its supports come from
+the winner's lift-then-peel above. An edge off v1 keeps its triangles but
+those through v1 and v2, and gains one through v1 when both its ends are
+in N'.
+
+R' (region lemma). Call an edge able when its support in G' is at least
+k-3, as every R' edge's is. Let C hold the edges outside R and off v1
+that have k-3 triangles of able edges and are reached from the star by
+such triangles: from a star edge (v1, x) to (x, w), from a C edge to its
+neighbours. Then R' is the (k-1)-truss of Y = R - the pair's edges + the
+star + C. Let Q0 be the R' edges outside R, off v1 and outside C. An edge
+of Q0 has no R' triangle through v1 (the star would reach it) and none
+with a C edge (C would), so its k-3 R' triangles lie in R + Q0 and are
+triangles of G. R's edges have theirs in R, so R + Q0 is a (k-1)-truss
+of G, and Q0 is empty. In Y, an R edge off v1 loses a triangle only
+where it had them through both v1 and v2; those, the star and C are
+counted up front, every other support on first read (see ``_peel``).
+
+pos' (peel order). An order of the shell R' - T' is a valid peel order
+iff every shell edge has at most k-3 forward triangles, whose other two
+edges are in T' or later in the order. The surviving shell edges keep
+their order. V starts as the new shell edges, and takes in every kept
+edge with more than k-3 forward triangles, counting V as later, until
+none is left; V goes last, in the order ``_peel`` removes it from T' + V,
+whose k-truss is T'. Every edge before V keeps at most k-3 forward
+triangles by the closure, and V's order is a peel, so the invariant
+holds. A kept edge gains a forward triangle only next to an edge that was
+lifted into T', is new to the shell or joined V; inside the star, only if
+neither its old triangle through v1 nor that through v2 counted, since
+the one through v1 replaces both. Only those are checked.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, count
 
 from .graph import Edge, Graph, NodeId, canon
 
@@ -161,6 +196,8 @@ def _peel(adj: dict[NodeId, set[NodeId]], sup: dict[Edge, int], k: int) -> list[
     is the k-truss of the input graph regardless of removal order. Only the
     edges keyed in ``sup`` itself can start below the threshold, so a
     ``_Lazy`` overlay on k-truss supports need hold only the changed ones.
+    An edge's support is read before a neighbouring edge leaves ``adj``, so
+    a ``_Lazy`` may also count it in ``adj`` on that first read.
     """
     below = k - 3
     queue = deque(e for e, s in sup.items() if s <= below)
@@ -171,17 +208,16 @@ def _peel(adj: dict[NodeId, set[NodeId]], sup: dict[Edge, int], k: int) -> list[
         peeled.append(e)
         x, y = e
         ax, ay = adj[x], adj[y]
-        ax.discard(y)
-        ay.discard(x)
-        if len(ay) < len(ax):
-            ax, ay = ay, ax
-        for w in ax:
-            if w in ay:
+        small, big = (ay, ax) if len(ay) < len(ax) else (ax, ay)
+        for w in small:  # e is still in adj, so a support first counted here includes it
+            if w in big:
                 for f in ((x, w) if x < w else (w, x), (y, w) if y < w else (w, y)):
                     s = sup[f] - 1
                     sup[f] = s
                     if s == below:
                         queue.append(f)
+        ax.discard(y)
+        ay.discard(x)
     return peeled
 
 
@@ -198,12 +234,14 @@ class _Lazy(dict):
 
 @dataclass
 class TrussView:
-    """Frozen per-(graph, k) state behind fast post-merger evaluation.
+    """Per-(graph, k) state behind fast post-merger evaluation.
 
     Holds the (k-1)-truss adjacency, the k-truss adjacency with each edge's
-    support inside the k-truss, and the position at which peeling the
-    (k-1)-truss down to the k-truss removed each shell edge. Build once,
-    evaluate many; evaluation never writes into these fields.
+    support inside the k-truss, and each shell edge's rank in an order that
+    peels the (k-1)-truss down to the k-truss: ``compute`` numbers its own
+    removal order 0, 1, ...; ``merge`` keeps ranks rising in iteration order.
+    Evaluation never writes into these fields; :meth:`merge` carries them
+    across the merge a greedy round executes.
     """
 
     g: Graph
@@ -242,11 +280,17 @@ class TrussView:
         return cls(g, k, set(adj_km1), adj_km1, len(sup), tk_adj, sup, pos)
 
     def truss_size_after_merge(self, v1: NodeId, v2: NodeId) -> int:
-        """|E(T_k)| of the graph with v2 merged into v1.
+        """|E(T_k)| of the graph with v2 merged into v1."""
+        return self._merged_truss(v1, v2)[0]
 
-        Lifts the shell edges the merge can carry into the new k-truss (see
-        the module docstring), then peels the k-truss plus the merged node's
-        star plus the lifted edges, holding only the changes in overlays.
+    def _merged_truss(self, v1: NodeId, v2: NodeId):
+        """The k-truss T' of the graph with v2 merged into v1, as overlays on the view.
+
+        Lifts the shell edges the merge can carry into T' (see the module
+        docstring), then peels the k-truss plus the merged node's star plus
+        the lifted edges, holding only the changes in overlays. Returns
+        (|E(T')|, T' adjacency over ``tk_adj``, T' supports over ``sup_tk``,
+        the edges peeled off, the nodes whose adjacency the overlay changes).
         """
         g = self.g
         if v1 == v2:
@@ -272,7 +316,7 @@ class TrussView:
         lifted: set[Edge] = set()
         lifted_adj: dict[NodeId, set[NodeId]] = {}
         fresh_at: list[tuple[Edge, list[tuple[Edge, Edge]]]] = []
-        never = len(pos)
+        never = next(reversed(pos.values()), -1) + 1  # above every rank
         while heap:
             pe, e = heapq.heappop(heap)
             x, y = e
@@ -323,7 +367,163 @@ class TrussView:
         adj = _Lazy(h_adj)
         adj[v1] = set(star)
         size = self.tk_size - len(t1) - len(t2) + (v2 in t1) + len(star) + len(lifted)
-        return size - len(_peel(adj, sup, self.k))
+        peeled = _peel(adj, sup, self.k)
+        return size - len(peeled), adj, sup, peeled, star.union(lifted_adj)
+
+    def merge(self, v1: NodeId, v2: NodeId, sup: dict[Edge, int]) -> None:
+        """Merge v2 into v1 in ``g`` and ``sup`` as :func:`merge_supports` does, and carry the view.
+
+        Afterwards every field equals :meth:`compute` on the merged graph,
+        with ``pos`` a valid peel order of the same shell edges; the module
+        docstring gives the argument. Work stays near the merged node's star.
+        """
+        size, h_adj, h_sup, h_peeled, h_nodes = self._merged_truss(v1, v2)
+        a, pos = self.adj_km1, self.pos
+        n1, n2 = set(a.get(v1, ())), set(a.get(v2, ()))
+        # the old rank of each R edge at v1 and at v2 (infinite for T_k edges)
+        ranks = [{w: pos.get(canon(v, w), math.inf) for w in ns} for v, ns in ((v1, n1), (v2, n2))]
+        merge_supports(self.g, sup, v1, v2)
+        # T' from the winner's own lift-then-peel
+        tk, st = self.tk_adj, self.sup_tk
+        for x, ns in ((v1, tk.get(v1, ())), (v2, tk.pop(v2, ()))):
+            for w in ns:
+                st.pop(canon(x, w), None)
+        for e in h_peeled:
+            st.pop(e, None)
+        st.update(h_sup)
+        for x in h_nodes.union(h_adj):
+            if h_adj[x]:
+                tk[x] = h_adj[x]
+            else:
+                tk.pop(x, None)
+        self.tk_size = size
+        c, r_peeled = self._carry_km1(v1, v2, n1, n2, sup)
+        # pos': drop the shell edges that left it, then repair the order
+        for e in chain((canon(v1, w) for w in n1), (canon(v2, w) for w in n2), r_peeled):
+            pos.pop(e, None)
+        lifted = {e: pos.pop(e) for e in h_sup if e in pos}
+        in_r = lambda e: e[1] in a.get(e[0], _EMPTY)
+        new = {canon(v1, x) for x in a.get(v1, ()) if x not in tk.get(v1, _EMPTY)}
+        fallen = {e for e in h_peeled if v1 not in e and e not in pos and in_r(e)}
+        c = {e for e in c if in_r(e)}
+        self._carry_pos(v1, new | c | fallen, {**lifted, **dict.fromkeys(c, -1)}, ranks)
+
+    def _carry_km1(self, v1: NodeId, v2: NodeId, n1: set[NodeId], n2: set[NodeId],
+                   sup: dict[Edge, int]) -> tuple[set[Edge], list[Edge]]:
+        """Turn ``adj_km1`` and ``nodes_km1`` into R' by a local peel (the region lemma).
+
+        ``n1``, ``n2`` are the pair's old R neighbours; ``g`` and ``sup`` are
+        already merged. Returns C and the edges the peel removed.
+        """
+        g, a, thr = self.g, self.adj_km1, self.k - 3
+        # able[x]: the w whose edge (x, w) has full support >= k-3, as every R' edge does
+        able = _Lazy(lambda x: {w for w in g.adj[x] if sup[(x, w) if x < w else (w, x)] >= thr})
+        c: set[Edge] = set()
+        seen: set[Edge] = set()
+        todo: list[Edge] = []
+
+        def admit(x: NodeId, ws: set[NodeId]) -> None:  # the non-R edges (x, w) with k-3 able triangles
+            for w in ws:
+                e = (x, w) if x < w else (w, x)
+                if e not in seen:
+                    seen.add(e)
+                    if sup[e] >= thr and len(able[x] & able[w]) >= thr:
+                        c.add(e)
+                        todo.append(e)
+
+        for x in able[v1]:
+            admit(x, (g.adj[x] - a.get(x, _EMPTY)) & able[v1])
+        while todo:
+            x, y = todo.pop()
+            common = able[x] & able[y]
+            common.discard(v1)
+            admit(x, common - a.get(x, _EMPTY))
+            admit(y, common - a.get(y, _EMPTY))
+        both = n1 & n2  # R edges among them lose their triangle through v2
+        folds = [(x, y) for x in both for y in a[x] & both if x < y]
+        for x in (v1, v2):
+            for w in a.pop(x, ()):
+                a[w].discard(x)
+        # Y: the star's edges to R's nodes stay even if unable, so that no R edge
+        # but the folds starts below k-3 (a star edge that is unable peels first)
+        a[v1] = {x for x in g.adj[v1] if x in self.nodes_km1 or sup[canon(v1, x)] >= thr}
+        for x in a[v1]:
+            a.setdefault(x, set()).add(v1)
+        for x, y in c:
+            a.setdefault(x, set()).add(y)
+            a.setdefault(y, set()).add(x)
+        support = lambda e: len(a[e[0]] & a[e[1]])  # in Y, when first read (see _peel)
+        ysup = _Lazy(support)
+        ysup.update((e, support(e)) for e in chain((canon(v1, x) for x in a[v1]), c, folds))
+        peeled = _peel(a, ysup, self.k - 1)
+        for x in {v1, v2}.union(n1, n2, a[v1], chain.from_iterable(c), chain.from_iterable(peeled)):
+            if a.get(x):
+                self.nodes_km1.add(x)
+            else:
+                a.pop(x, None)
+                self.nodes_km1.discard(x)
+        return c, peeled
+
+    def _carry_pos(self, v1: NodeId, new: set[Edge], ahead: dict[Edge, int],
+                   ranks: list[dict[NodeId, int]]) -> None:
+        """Repair ``pos`` into a peel order of R' down to T'.
+
+        ``pos`` holds the kept shell edges at their old ranks, ``new`` the
+        edges new to the shell, ``ahead`` the edges off v1 that now count as
+        forward for kept edges ranked after their old rank (-1 for C edges),
+        and ``ranks`` the old ranks of the R edges at v1 and at v2.
+        """
+        a, tk, pos, thr = self.adj_km1, self.tk_adj, self.pos, self.k - 3
+        vs = set(new)
+
+        def forward(e: Edge) -> int:  # triangles with T', V or later shell edges
+            p, (x, y), n = pos[e], e, 0
+            for w in a[x] & a[y]:
+                f = (x, w) if x < w else (w, x)
+                h = (y, w) if y < w else (w, y)
+                n += (f in vs or pos.get(f, p + 1) > p) and (h in vs or pos.get(h, p + 1) > p)
+            return n
+
+        def gainers(e: Edge, p: int) -> set[Edge]:
+            """The kept edges ranked after p that e's triangles may now count as forward."""
+            x, y, out = *e, set()
+            for w in a[x] & a[y]:
+                f = (x, w) if x < w else (w, x)
+                h = (y, w) if y < w else (w, y)
+                rf = math.inf if f in vs else pos.get(f, math.inf)  # infinite in T' or V
+                rh = math.inf if h in vs else pos.get(h, math.inf)
+                if p < rf < rh:
+                    out.add(f)
+                elif p < rh < rf:
+                    out.add(h)
+            return out
+
+        # a kept edge gains a forward triangle only next to an edge that now counts as
+        # forward for it; inside the star, only if neither its old triangle through v1
+        # nor that through v2 counted
+        check = set().union(*(gainers(e, p) for e, p in ahead.items()))
+        s1, (r1, r2) = a.get(v1, _EMPTY), ranks
+        for x in s1:
+            for w in (s1 & a[x]) - tk.get(x, _EMPTY):  # the shell edges inside the star
+                if x < w and (p := pos.get((x, w))) is not None \
+                        and not (r1.get(x, -1) > p and r1.get(w, -1) > p) \
+                        and not (r2.get(x, -1) > p and r2.get(w, -1) > p):
+                    check.add((x, w))
+        while check:
+            e = check.pop()
+            if e not in vs and forward(e) > thr:
+                vs.add(e)
+                check |= gainers(e, pos[e])
+        v_adj: dict[NodeId, set[NodeId]] = {}
+        for x, y in vs:
+            v_adj.setdefault(x, set()).add(y)
+            v_adj.setdefault(y, set()).add(x)
+        hv = _Lazy(lambda x: set(tk.get(x, ())).union(v_adj.get(x, ())))
+        vsup = _Lazy(lambda e: math.inf)  # T' edges never leave this peel, so need no count
+        vsup.update((e, len(hv[e[0]] & hv[e[1]])) for e in vs)
+        for e in vs:  # V goes last, ranked after every kept edge, so pos stays in rank order
+            pos.pop(e, None)
+        pos.update(zip(_peel(hv, vsup, self.k), count(next(reversed(pos.values()), -1) + 1)))
 
 
 def post_merger_truss_size(g: Graph, k: int, v1: NodeId, v2: NodeId) -> int:

@@ -268,11 +268,15 @@ def _check_model(n: int, p: float) -> None:
 
 
 def gen_er(n: int, p: float, seed: int) -> Graph:
-    """Seeded uniform random graph; keeps isolated nodes."""
+    """Seeded G(n, p); keeps isolated nodes.
+
+    Each pair of ``combinations(range(n), 2)``, in order, is an edge when a
+    draw of ``random.Random(seed)`` falls below p, as in networkx 3.6.1's
+    ``gnp_random_graph``: p = 0 gives no edge, p = 1 every pair.
+    """
     _check_model(n, p)
-    import networkx as nx  # imported here: it is slow to load and only the generators use it
-    h = nx.gnp_random_graph(n, p, seed=seed)
-    return Graph.from_edges(h.edges(), nodes=range(n))
+    rng = random.Random(seed)
+    return Graph.from_edges([e for e in combinations(range(n), 2) if rng.random() < p], nodes=range(n))
 
 
 def gen_ws(n: int, k_nbrs: int, p: float, seed: int) -> Graph:
@@ -280,7 +284,7 @@ def gen_ws(n: int, k_nbrs: int, p: float, seed: int) -> Graph:
     _check_model(n, p)
     if not 0 <= k_nbrs <= n:
         raise ValueError(f"k_nbrs must be in [0, n={n}], got {k_nbrs}")
-    import networkx as nx
+    import networkx as nx  # imported here: it is slow to load and only these generators use it
     h = nx.watts_strogatz_graph(n, k_nbrs, p, seed=seed)
     return Graph.from_edges(h.edges(), nodes=range(n))
 

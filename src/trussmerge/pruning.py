@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decomposition import TrussDecomposition, node_trussness
+from .decomposition import TrussDecomposition, _Lazy, node_trussness
 from .graph import Graph, NodeId
 
 
 @dataclass(frozen=True)
 class NodePartition:
-    """Inside/outside split plus every node's inside neighborhood."""
+    """Inside/outside split plus every node's inside neighborhood, an inside node's built on first read."""
 
     inside: set[NodeId]
     outside: set[NodeId]
@@ -25,8 +25,11 @@ class NodePartition:
 
     @classmethod
     def of(cls, g: Graph, inside: set[NodeId]) -> "NodePartition":
-        """Split g's nodes around ``inside``; every node, inside ones too, gets its inside neighbors."""
-        return cls(inside, set(g.adj) - inside, {v: ns & inside for v, ns in g.adj.items()})
+        """Split g's nodes around ``inside``; outside nodes get their inside neighbors now, others on first read."""
+        nbrs = _Lazy(lambda v: g.adj[v] & inside)
+        outside = set(g.adj) - inside
+        nbrs.update((v, g.adj[v] & inside) for v in outside)
+        return cls(inside, outside, nbrs)
 
 
 def partition_nodes(g: Graph, d: TrussDecomposition, k: int) -> NodePartition:

@@ -1,14 +1,16 @@
 """Budgeted greedy search for node mergers that grow the k-truss.
 
 Every method runs one round loop, :func:`greedy_loop`; only its
-candidate source differs. Each round peels the working graph to its
-(k-1)-truss and k-truss from edge supports carried across rounds and
-updated at each merged pair, partitions and prunes nodes, asks the
-source for candidate mergers, evaluates every candidate exactly, and
-executes the best one. BM, EQ, II and IO share one source, the top
-inside-outside (IOM) plus the top inside-inside (IIM) candidates: under
-BM the split of the per-round candidate budget between the two kinds
-adapts toward whichever kind keeps winning, while EQ, II and IO pin it.
+candidate source differs. Round 0 peels the working graph to its
+(k-1)-truss and k-truss from edge supports; each later round executes
+the previous winner, updating the supports at the merged pair and
+repairing both trusses near it (:meth:`TrussView.merge`). A round then
+partitions and prunes nodes, asks the source for candidate mergers,
+evaluates every candidate exactly, and picks the best one. BM, EQ, II
+and IO share one source, the top inside-outside (IOM) plus the top
+inside-inside (IIM) candidates: under BM the split of the per-round
+candidate budget between the two kinds adapts toward whichever kind
+keeps winning, while EQ, II and IO pin it.
 Random sampling, the edge-count and triangle-count rankings, and
 NAIVE's every pair, each evaluated exactly, are the sources in
 :mod:`trussmerge.baselines`; all methods are reachable through
@@ -25,7 +27,7 @@ from typing import Callable, Sequence
 
 from .candidates import (CandidateMerger, ConstraintFilter, MergerKind, ScoringContext,
                          find_iim_candidates, find_iom_candidates)
-from .decomposition import TrussView, _supports, merge_supports, truss_decompose
+from .decomposition import TrussView, _supports, truss_decompose
 from .graph import Edge, Graph, NodeId, merge_all
 from .pruning import NodePartition, prune_outside_maximal
 
@@ -133,9 +135,19 @@ def _initial_n_io(cfg: RunConfig) -> int:
     return {Method.II: 0, Method.IO: cfg.n_c}.get(cfg.method, cfg.n_c // 2)
 
 
-def build_round_state(work: Graph, k: int, sup: dict[Edge, int] | None = None) -> ScoringContext:
-    """The round's ScoringContext (trusses, partition, pruning); ``sup`` as in :meth:`TrussView.compute`."""
-    view = TrussView.compute(work, k, sup)
+def build_round_state(work: Graph, k: int, sup: dict[Edge, int] | None = None,
+                      carried: tuple[TrussView, NodeId, NodeId] | None = None) -> ScoringContext:
+    """The round's ScoringContext (trusses, partition, pruning); ``sup`` as in :meth:`TrussView.compute`.
+
+    With ``carried`` = (the previous round's view of ``work``, v1, v2), merges
+    v2 into v1 in ``work`` and ``sup`` and carries that view across the merge
+    (:meth:`TrussView.merge`) instead of computing a new one.
+    """
+    if carried is None:
+        view = TrussView.compute(work, k, sup)
+    else:
+        view, v1, v2 = carried
+        view.merge(v1, v2, sup)
     p = NodePartition.of(work, view.nodes_km1)
     return ScoringContext(view, p, prune_outside_maximal(p.outside, p.inside_neighbors))
 
@@ -166,11 +178,11 @@ def greedy_loop(g: Graph, cfg: RunConfig, source: CandidateSource, n_io: int = 0
     rng = random.Random(cfg.seed)
     adapt = source is _split_candidates and cfg.method is Method.BM
     sup = _supports(work.adj)
-    initial, counts, skipped = 0, None, 0
+    initial, counts, skipped, carried = 0, None, 0, None
     steps: list[MergerStep] = []
     for rnd in range(cfg.b):
         t0 = time.perf_counter()
-        state = build_round_state(work, cfg.k, sup)
+        state = build_round_state(work, cfg.k, sup, carried)
         if rnd == 0:
             initial, counts = state.view.tk_size, state.node_counts()
         cands = source(cfg, state, rng, n_io)
@@ -183,7 +195,7 @@ def greedy_loop(g: Graph, cfg: RunConfig, source: CandidateSource, n_io: int = 0
         best, best_size = min(zip(cands, sizes), key=lambda cs: (-cs[1], cs[0].v1, cs[0].v2))
         if not cfg.allow_no_op and best_size <= state.view.tk_size:
             break
-        merge_supports(work, sup, best.v1, best.v2)
+        carried = (state.view, best.v1, best.v2)  # merged by the next round's build
         steps.append(MergerStep(best.v1, best.v2, best.kind, best_size, n_io,
                                 len(cands), time.perf_counter() - t0))
         if adapt:

@@ -198,6 +198,51 @@ def test_merge_supports_matches_recount(rng):
     assert len(shapes) == 5
 
 
+def test_carried_view_matches_compute_after_every_merge(rng):
+    """TrussView.merge, merge after merge, against compute on the merged graph."""
+    shapes = Counter()
+    for i in range(300):
+        n = rng.randint(2, 16)
+        edges = gnp_edges(rng, n, rng.uniform(0.15, 0.9))
+        if i % 3 == 0:  # node n is a hub with most nodes in its star, else isolated
+            edges |= {(v, n) for v in range(n) if rng.random() < 0.85}
+        g = Graph.from_edges(sorted(edges), nodes=range(n + 2))
+        k = rng.randint(3, 6)
+        sup = _supports(g.adj)
+        view = TrussView.compute(g, k, sup)
+        pairs = []
+        while g.node_count > 1:
+            shape, v1, v2 = _merge_pair(rng, g)
+            pairs.append((v1, v2))
+            shapes[shape] += 1
+            shapes.update(case for case, hit in (
+                ("v1 outside R", v1 not in view.nodes_km1), ("v2 outside R", v2 not in view.nodes_km1),
+                ("empty T_k", not view.tk_size), ("empty shell", not view.pos)) if hit)
+            view.merge(v1, v2, sup)
+            fresh = TrussView.compute(g, k)
+            assert sup == _supports(g.adj)
+            assert view_fields(view) == view_fields(fresh), (sorted(edges), k, pairs)
+            assert view.pos.keys() == fresh.pos.keys()
+            assert_peel_order(view)
+            # the shell scan reads pos as a heap: its ranks must rise in iteration order
+            assert list(view.pos.values()) == sorted(set(view.pos.values()))
+            if g.node_count > 1:
+                u, w = rng.sample(g.nodes(), 2)
+                assert view.truss_size_after_merge(u, w) == fresh.truss_size_after_merge(u, w)
+    assert len(shapes) == 9 and min(shapes.values()) >= 40, shapes
+
+
+def test_view_merge_rejects_bad_pairs():
+    g = graph_a()
+    sup = _supports(g.adj)
+    view = TrussView.compute(g, 4, sup)
+    before = copy.deepcopy((view_fields(view)[2:], view.pos, sup, g.adj))
+    for v1, v2 in ((0, 0), (0, 99), (99, 0)):
+        with pytest.raises(ValueError):
+            view.merge(v1, v2, sup)
+    assert (view_fields(view)[2:], view.pos, sup, g.adj) == before
+
+
 def test_merge_supports_rejects_bad_pairs():
     g = graph_a()
     sup = _supports(g.adj)

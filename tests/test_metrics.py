@@ -378,6 +378,16 @@ def test_generators_are_seeded():
     assert sorted(gen_er(30, 0.2, 8).edge_set()) != sorted(g.edge_set())
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 9, 50])
+@pytest.mark.parametrize("p", [0.0, 0.04, 0.1, 0.5, 0.97, 1.0])
+def test_gen_er_draws_the_networkx_graph(n, p):
+    for seed in (0, 1, 7, 12345):
+        g = gen_er(n, p, seed)
+        h = nx.gnp_random_graph(n, p, seed=seed)
+        assert g.node_count == n and [g.label(v) for v in g.nodes()] == [str(v) for v in range(n)]
+        assert g.edge_set() == {tuple(sorted(e)) for e in h.edges()}
+
+
 def test_metric_directions_cover_all_metrics():
     assert set(METRIC_DIRECTION) == set(MetricId)
     for m in (MetricId.VB, MetricId.EB, MetricId.ER, MetricId.AD):

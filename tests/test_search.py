@@ -53,20 +53,22 @@ def test_carried_supports_match_recompute_at_scale(email_scale_graph, monkeypatc
     views = []
     real = search.build_round_state
 
-    def checked(work, k, sup):
+    def checked(work, k, sup, carried=None):
+        assert (carried is None) == (not views)  # only round 0 computes its view
+        state = real(work, k, sup, carried)
         assert sup == _supports(work.adj)
-        carried, fresh = TrussView.compute(work, k, sup), TrussView.compute(work, k)
-        assert view_fields(carried) == view_fields(fresh)
-        # merges reorder the carried map's keys, and the peel order with them
-        assert carried.pos.keys() == fresh.pos.keys()
-        assert_peel_order(carried)
-        views.append(carried)
-        return real(work, k, sup)
+        fresh = TrussView.compute(work, k)
+        assert view_fields(state.view) == view_fields(fresh)
+        # the carried view keeps its own peel order of the same shell edges
+        assert state.view.pos.keys() == fresh.pos.keys()
+        assert_peel_order(state.view)
+        views.append(state.view)
+        return state
 
     monkeypatch.setattr(search, "build_round_state", checked)
-    monkeypatch.setattr(baselines, "build_round_state", checked)
     plan = run_method(email_scale_graph, RunConfig(k=k, b=3, method=Method(method), seed=1))
     assert len(views) == len(plan.steps) == 3
+    assert views[0] is views[1] is views[2]
 
 
 def test_config_validation():

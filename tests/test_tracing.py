@@ -54,9 +54,10 @@ def test_recorder_spans_each_loop_once_and_uninstalls(graph_a_file, tmp_path):
             spans = [s for s in rec.spans if s[5] == pass_id]
             assert [s[0] for s in spans if s[1] == "search.loop"] == [loop]
             groups = Counter(s[1] for s in spans)
-            assert groups["search.state"] == groups["decomposition.view"] == executed
+            # round 0 computes the view; later round-state builds carry it
+            assert groups["search.state"] == executed and groups["decomposition.view"] == 1
             layers = rec.pass_metrics(pass_id, 1.0)
-            assert layers["search.state_calls"] == layers["decomposition.view_calls"] == executed
+            assert layers["search.state_calls"] == executed and layers["decomposition.view_calls"] == 1
             assert layers["search.rounds"] == 2
             if method == "BM":
                 assert groups["candidates.iom"] == groups["candidates.iim"] == executed
