@@ -4,7 +4,7 @@ import pytest
 
 from trussmerge import (ConstraintFilter, Graph, Method, MergerKind, RunConfig, adaptive_search,
                         adaptive_update, gen_er, haversine_km, objective, run_method)
-from trussmerge import TrussView, baselines, search
+from trussmerge import TrussView, search
 from trussmerge.decomposition import _supports
 from trussmerge.search import MergerPlan, MergerStep
 
