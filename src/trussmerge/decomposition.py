@@ -16,6 +16,14 @@ is fresh at its earliest lifted edge, which pushes f). So its k-2 T'
 triangles are old, with T_k or later shell edges, and the peel could not
 have removed f. Hence T' <= H <= R*, and the k-truss of H is T'.
 
+A greedy round needs a candidate's size only if it reaches the round's
+floor, the least size that could still win. |T'| <= |H|, and |H| is known
+right after the lift, so a candidate with |H| below the floor stops
+there. Every edge set the peel passes through still holds T', so the
+peel stops as soon as fewer edges than the floor are left. A stopped
+evaluation returns an upper bound below the floor; a size at or above
+the floor is exact.
+
 ``TrussView.merge`` carries the view across an executed merge, so that it
 equals ``compute`` on the merged graph G'. Write N' for the merged node's
 neighbours, R' for the (k-1)-truss of G'. T' and its supports come from
@@ -55,7 +63,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, count
 
 from .graph import Edge, Graph, NodeId, canon
@@ -189,7 +197,8 @@ def _fix_star(sup, star: set[NodeId], adj: dict[NodeId, set[NodeId]], n1, n2, v1
         sup[canon(v1, x)] = len(nx)
 
 
-def _peel(adj: dict[NodeId, set[NodeId]], sup: dict[Edge, int], k: int) -> list[Edge]:
+def _peel(adj: dict[NodeId, set[NodeId]], sup: dict[Edge, int], k: int,
+          limit: float = math.inf) -> list[Edge]:
     """Remove edges with support < k-2 until none is left; returns them in removal order.
 
     Mutates both arguments; ``sup`` keeps the surviving edges. The fixpoint
@@ -197,12 +206,13 @@ def _peel(adj: dict[NodeId, set[NodeId]], sup: dict[Edge, int], k: int) -> list[
     edges keyed in ``sup`` itself can start below the threshold, so a
     ``_Lazy`` overlay on k-truss supports need hold only the changed ones.
     An edge's support is read before a neighbouring edge leaves ``adj``, so
-    a ``_Lazy`` may also count it in ``adj`` on that first read.
+    a ``_Lazy`` may also count it in ``adj`` on that first read. The peel
+    stops early once it has removed more than ``limit`` edges.
     """
     below = k - 3
     queue = deque(e for e, s in sup.items() if s <= below)
     peeled: list[Edge] = []
-    while queue:
+    while queue and len(peeled) <= limit:
         e = queue.popleft()  # queued once: when first below the threshold
         del sup[e]
         peeled.append(e)
@@ -241,7 +251,8 @@ class TrussView:
     peels the (k-1)-truss down to the k-truss: ``compute`` numbers its own
     removal order 0, 1, ...; ``merge`` keeps ranks rising in iteration order.
     Evaluation never writes into these fields; :meth:`merge` carries them
-    across the merge a greedy round executes.
+    across the merge a greedy round executes, reusing the last complete
+    evaluation when it was of the same pair.
     """
 
     g: Graph
@@ -252,6 +263,8 @@ class TrussView:
     tk_adj: dict[NodeId, set[NodeId]]
     sup_tk: dict[Edge, int]
     pos: dict[Edge, int]
+    # ((v1, v2), its _merged_truss result) of the last complete evaluation
+    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def shell(self) -> set[Edge]:
@@ -279,18 +292,27 @@ class TrussView:
         pos = {e: i for i, e in enumerate(shell)}
         return cls(g, k, set(adj_km1), adj_km1, len(sup), tk_adj, sup, pos)
 
-    def truss_size_after_merge(self, v1: NodeId, v2: NodeId) -> int:
-        """|E(T_k)| of the graph with v2 merged into v1."""
-        return self._merged_truss(v1, v2)[0]
+    def truss_size_after_merge(self, v1: NodeId, v2: NodeId, floor: int | None = None) -> int:
+        """|E(T_k)| of the graph with v2 merged into v1.
 
-    def _merged_truss(self, v1: NodeId, v2: NodeId):
+        Given a ``floor``, a size below it is only an upper bound: the
+        evaluation stops once the size is known to fall below the floor.
+        """
+        size, overlays = self._merged_truss(v1, v2, floor)
+        if floor is None or size >= floor:
+            self._memo = (v1, v2), (size, overlays)
+        return size
+
+    def _merged_truss(self, v1: NodeId, v2: NodeId, floor: int | None = None):
         """The k-truss T' of the graph with v2 merged into v1, as overlays on the view.
 
         Lifts the shell edges the merge can carry into T' (see the module
         docstring), then peels the k-truss plus the merged node's star plus
         the lifted edges, holding only the changes in overlays. Returns
-        (|E(T')|, T' adjacency over ``tk_adj``, T' supports over ``sup_tk``,
-        the edges peeled off, the nodes whose adjacency the overlay changes).
+        (|E(T')|, (T' adjacency over ``tk_adj``, T' supports over ``sup_tk``,
+        the edges peeled off, the nodes whose adjacency the overlay changes)),
+        or an upper bound below ``floor`` and unfinished overlays (None if
+        it stopped before the peel).
         """
         g = self.g
         if v1 == v2:
@@ -345,6 +367,9 @@ class TrussView:
                         heapq.heappush(heap, (pos[f], f))
         # H = T_k without its v1/v2 edges + star + lifted, as overlays on tk and sup_tk
         t1, t2 = tk.get(v1, _EMPTY), tk.get(v2, _EMPTY)
+        size = self.tk_size - len(t1) - len(t2) + (v2 in t1) + len(star) + len(lifted)
+        if floor is not None and size < floor:
+            return size, None
         sup = _Lazy(self.sup_tk.__getitem__)
         sup.update(dict.fromkeys(lifted, 0))
         _fix_star(sup, star, tk, t1, t2, v1)
@@ -366,9 +391,8 @@ class TrussView:
 
         adj = _Lazy(h_adj)
         adj[v1] = set(star)
-        size = self.tk_size - len(t1) - len(t2) + (v2 in t1) + len(star) + len(lifted)
-        peeled = _peel(adj, sup, self.k)
-        return size - len(peeled), adj, sup, peeled, star.union(lifted_adj)
+        peeled = _peel(adj, sup, self.k, math.inf if floor is None else size - floor)
+        return size - len(peeled), (adj, sup, peeled, star.union(lifted_adj))
 
     def merge(self, v1: NodeId, v2: NodeId, sup: dict[Edge, int]) -> None:
         """Merge v2 into v1 in ``g`` and ``sup`` as :func:`merge_supports` does, and carry the view.
@@ -377,7 +401,9 @@ class TrussView:
         with ``pos`` a valid peel order of the same shell edges; the module
         docstring gives the argument. Work stays near the merged node's star.
         """
-        size, h_adj, h_sup, h_peeled, h_nodes = self._merged_truss(v1, v2)
+        memo, self._memo = self._memo, None
+        size, (h_adj, h_sup, h_peeled, h_nodes) = (
+            memo[1] if memo and memo[0] == (v1, v2) else self._merged_truss(v1, v2))
         a, pos = self.adj_km1, self.pos
         n1, n2 = set(a.get(v1, ())), set(a.get(v2, ()))
         # the old rank of each R edge at v1 and at v2 (infinite for T_k edges)

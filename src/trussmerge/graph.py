@@ -50,17 +50,30 @@ class Graph:
         self-loops are dropped; nodes appear only through kept edges,
         so the result has no isolated nodes.
         """
-        pairs: list[tuple[str, str]] = []
+        g = cls()
+        adj, ids, labels, m = g.adj, g._ids, g._labels, 0
         for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            tokens = raw.split(None, 2)
+            if not tokens or tokens[0][0] == "#":
                 continue
-            tokens = line.split()
             if len(tokens) < 2:
-                raise ParseError(f"line {lineno}: expected two endpoint labels, got {line!r}")
-            if tokens[0] != tokens[1]:
-                pairs.append((tokens[0], tokens[1]))
-        return cls.from_edges(pairs)
+                raise ParseError(f"line {lineno}: expected two endpoint labels, got {raw.strip()!r}")
+            a, b = tokens[0], tokens[1]
+            if a == b:
+                continue
+            if (u := ids.get(a)) is None:
+                u = ids[a] = len(ids)
+                labels[u], adj[u] = a, set()
+            if (v := ids.get(b)) is None:
+                v = ids[b] = len(ids)
+                labels[v], adj[v] = b, set()
+            nu = adj[u]
+            if v not in nu:
+                nu.add(v)
+                adj[v].add(u)
+                m += 1
+        g._m = m
+        return g
 
     @classmethod
     def from_edges(cls, pairs: Iterable[tuple[object, object]], *, nodes: Iterable[object] = ()) -> "Graph":

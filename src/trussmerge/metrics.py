@@ -430,15 +430,17 @@ def candidate_scores(a: np.ndarray, metric: MetricId | str, op: str) -> Iterator
 
 
 def _spectral_bounds(a: np.ndarray, metric: MetricId, op: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(i, j, upper bound on the measure) for every NC addition or SG edit, from one eigh of a.
+    """(i, j, upper bound on the measure) for every NC or SG edit, from one eigh of a.
 
-    With F = e^A, Golden-Thompson bounds NC after adding (i, j) by
-    log tr(F e^D) / n, e^D in closed form. For SG, write the edit as
-    M = A + s (e_i y' + y e_i') with unit y: y = e_j and s = 1 for an
-    addition; for a merge j -> i, y = d/|d| and s = |d| with d = N(j) -
-    N(i) - {i, j}, and the merged matrix is M less row and column j, so
-    its lambda1 is at most lambda1(M) (interlacing). lambda1(M) is the top
-    root of s (P_iy + sqrt(P_ii P_yy)) = 1, P = [e_i y]' (lambda - A)^-1 [e_i y],
+    Write the edit as M = A + s (e_i y' + y e_i') with unit y: y = e_j and
+    s = 1 for an addition; for a merge j -> i, y = d/|d| and s = |d| with
+    d = N(j) - N(i) - {i, j}, and the merged matrix is M less row and
+    column j, so its eigenvalues interlace M's. With F = e^A,
+    Golden-Thompson bounds tr e^M by tr(F e^P), P = M - A, and e^P = I +
+    (cosh s - 1)(e_i e_i' + y y') + sinh s (e_i y' + y e_i'), which bounds
+    NC with the mean over n nodes, or n - 1 after a merge. For SG,
+    lambda1 is at most lambda1(M), the top root of
+    s (P_iy + sqrt(P_ii P_yy)) = 1, P = [e_i y]' (lambda - A)^-1 [e_i y],
     bisected from above. lambda2 is at least the second Ritz value on the
     old top-three eigenvectors (row j zeroed for a merge, so their Gram
     matrix I - qq' is whitened by I + qq' / (g (1 + g)), g^2 = 1 - q'q),
@@ -449,10 +451,7 @@ def _spectral_bounds(a: np.ndarray, metric: MetricId, op: str) -> tuple[np.ndarr
     ii, jj = np.triu_indices(n, 1)
     if op != "merge":
         ii, jj = ii[a[ii, jj] == 0], jj[a[ii, jj] == 0]
-    if metric is MetricId.NC:
-        f = (v * np.exp(w - w[-1])) @ v.T
-        tr = np.trace(f) + (math.cosh(1) - 1) * (f[ii, ii] + f[jj, jj]) + 2 * math.sinh(1) * f[ii, jj]
-        return ii, jj, w[-1] + np.log(tr / n)
+    ex = np.exp(w - w[-1])  # F's spectrum, scaled by e^-lambda1
     floor = w[-3] if op != "merge" else (w[-4] if n >= 4 else -np.inf)
     ub, step = [np.empty(0)], max(1, _BATCH // (16 * n))  # blocks keep the (C, n) temporaries small
     for i, j in ((ii[k:k + step], jj[k:k + step]) for k in range(0, len(ii), step)):
@@ -464,7 +463,13 @@ def _spectral_bounds(a: np.ndarray, metric: MetricId, op: str) -> tuple[np.ndarr
         else:
             dv, s = v[j], np.ones(len(i))
         vy = dv / np.maximum(s, 1.0)[:, None]
-        terms, lo, hi = np.stack([vi * vi, vy * vy, vi * vy], axis=1), np.full(len(i), w[-1]), w[-1] + s
+        terms = np.stack([vi * vi, vy * vy, vi * vy], axis=1)
+        if metric is MetricId.NC:
+            fii, fyy, fiy = (terms @ ex).T
+            tr = ex.sum() + (np.cosh(s) - 1.0) * (fii + fyy) + 2.0 * np.sinh(s) * fiy
+            ub.append(w[-1] + np.log(tr / (n - (op == "merge"))))
+            continue
+        lo, hi = np.full(len(i), w[-1]), w[-1] + s
         with np.errstate(invalid="ignore", divide="ignore"):
             for _ in range(16):  # hi stays above the root, within s / 2^16
                 mid = (lo + hi) / 2
@@ -484,13 +489,13 @@ def _spectral_bounds(a: np.ndarray, metric: MetricId, op: str) -> tuple[np.ndarr
 def best_candidate(a: np.ndarray, metric: MetricId | str, op: str) -> tuple[int, int, float] | None:
     """The best ``candidate_scores`` edit as (i, j, value); ties to the first pair, None if none.
 
-    SG edits and NC additions are scored exactly (``MATRIX_FUNCS`` on the
+    SG and NC edits are scored exactly (``MATRIX_FUNCS`` on the
     edited matrix) in descending order of ``_spectral_bounds`` until the
     next bound falls below the best value found, so the choice is the
     exhaustive one. A non-finite bound always gets scored.
     """
     metric = MetricId(metric)
-    if len(a) < 3 or not (metric is MetricId.SG or (metric is MetricId.NC and op == "add_edge")):
+    if len(a) < 3 or metric not in (MetricId.SG, MetricId.NC):
         sign = METRIC_DIRECTION[metric]
         return max(candidate_scores(a, metric, op), key=lambda c: sign * c[2], default=None)
     ii, jj, ub = _spectral_bounds(a, metric, op)

@@ -6,15 +6,15 @@ candidate source differs. Round 0 peels the working graph to its
 the previous winner, updating the supports at the merged pair and
 repairing both trusses near it (:meth:`TrussView.merge`). A round then
 partitions and prunes nodes, asks the source for candidate mergers,
-evaluates every candidate exactly, and picks the best one. BM, EQ, II
+and picks the best one by exact evaluation, which stops early for any
+candidate that provably cannot beat the best so far. BM, EQ, II
 and IO share one source, the top inside-outside (IOM) plus the top
 inside-inside (IIM) candidates: under BM the split of the per-round
 candidate budget between the two kinds adapts toward whichever kind
 keeps winning, while EQ, II and IO pin it.
 Random sampling, the edge-count and triangle-count rankings, and
-NAIVE's every pair, each evaluated exactly, are the sources in
-:mod:`trussmerge.baselines`; all methods are reachable through
-:func:`run_method`.
+NAIVE's every pair are the sources in :mod:`trussmerge.baselines`; all
+methods are reachable through :func:`run_method`.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class Method(str, Enum):
     RD = "RD"          # uniform random candidate sampling
     NE = "NE"          # rank by new inside edges
     NT = "NT"          # rank by new inside triangles
-    NAIVE = "NAIVE"    # every pair, each evaluated exactly
+    NAIVE = "NAIVE"    # every pair is a candidate
 
 
 @dataclass(frozen=True)
@@ -190,9 +190,15 @@ def greedy_loop(g: Graph, cfg: RunConfig, source: CandidateSource, n_io: int = 0
             # nothing merged, so every later round would see this same graph
             skipped = cfg.b - rnd
             break
-        sizes = [state.view.truss_size_after_merge(c.v1, c.v2) for c in cands]
-        # the largest evaluation wins; equal sizes fall to the smallest pair ids
-        best, best_size = min(zip(cands, sizes), key=lambda cs: (-cs[1], cs[0].v1, cs[0].v2))
+        # the largest size wins, equal sizes fall to the smallest pair ids. The pairs
+        # with most neighbours go first; an evaluation stops once it cannot win (its
+        # floor), so every one that completes is the new best.
+        adj, best, best_size = work.adj, None, 0
+        for c in sorted(cands, key=lambda c: -len(adj[c.v1] | adj[c.v2])):
+            floor = None if best is None else best_size + ((c.v1, c.v2) >= (best.v1, best.v2))
+            size = state.view.truss_size_after_merge(c.v1, c.v2, floor)
+            if floor is None or size >= floor:
+                best, best_size = c, size
         if not cfg.allow_no_op and best_size <= state.view.tk_size:
             break
         carried = (state.view, best.v1, best.v2)  # merged by the next round's build

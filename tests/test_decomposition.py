@@ -232,6 +232,73 @@ def test_carried_view_matches_compute_after_every_merge(rng):
     assert len(shapes) == 9 and min(shapes.values()) >= 40, shapes
 
 
+def test_bounded_evaluation_is_exact_at_or_above_the_floor(rng):
+    """With a floor, a size at or above it is exact; below it, an upper bound still below it."""
+    stops = Counter()
+    for _ in range(80):
+        g = random_graph(rng, rng.randint(3, 16), rng.uniform(0.2, 0.9))
+        k = rng.randint(3, 6)
+        view = TrussView.compute(g, k)
+        before = copy.deepcopy((view_fields(view)[1:], view.pos, g.adj))
+        for v1, v2 in rng.sample(list(permutations(g.nodes(), 2)), min(12, g.node_count)):
+            exact = view.truss_size_after_merge(v1, v2)
+            h = view._merged_truss(v1, v2, floor=g.edge_count + 1)[0]  # |H|: stops after the lift
+            for floor in range(h + 2):
+                got = view.truss_size_after_merge(v1, v2, floor)
+                if exact >= floor:
+                    assert got == exact, (sorted(g.edge_set()), k, v1, v2, floor)
+                else:
+                    assert exact <= got < floor, (sorted(g.edge_set()), k, v1, v2, floor)
+                    stops["after the lift" if floor > h else "in the peel"] += 1
+            stops["H above T'"] += h > exact
+        assert (view_fields(view)[1:], view.pos, g.adj) == before
+    assert min(stops.values()) >= 40 and len(stops) == 3, stops
+
+
+def test_merge_reuses_only_its_own_pairs_evaluation(rng, monkeypatch):
+    """A merge after its pair's complete evaluation skips the rerun and equals one that reran."""
+    calls = Counter()
+    merged_truss = TrussView._merged_truss
+
+    def counted(self, v1, v2, floor=None):
+        calls[floor is None] += 1
+        return merged_truss(self, v1, v2, floor)
+
+    monkeypatch.setattr(TrussView, "_merged_truss", counted)
+    merges = 0
+    for i in range(150):
+        n = rng.randint(3, 16)
+        edges = gnp_edges(rng, n, rng.uniform(0.2, 0.9))
+        if i % 3 == 0:  # node n is a hub with most nodes in its star
+            edges |= {(v, n) for v in range(n) if rng.random() < 0.85}
+        g = Graph.from_edges(sorted(edges), nodes=range(n + 1))
+        k = rng.randint(3, 6)
+        (ga, sa), (gb, sb) = [(g.copy(), _supports(g.adj)) for _ in range(2)]
+        va, vb = TrussView.compute(ga, k, sa), TrussView.compute(gb, k, sb)
+        while ga.node_count > 2:
+            _, v1, v2 = _merge_pair(rng, ga)
+            va.truss_size_after_merge(v1, v2)
+            # a stopped evaluation of another pair leaves the memo alone
+            u, w = rng.sample(ga.nodes(), 2)
+            va.truss_size_after_merge(u, w, ga.edge_count + 1)
+            # vb last evaluated a different pair, often the reversed one
+            other = tuple(rng.sample(gb.nodes(), 2))
+            vb.truss_size_after_merge(*((v2, v1) if rng.random() < 0.5 or other == (v1, v2) else other))
+            calls.clear()
+            va.merge(v1, v2, sa)
+            assert calls[True] == 0
+            vb.merge(v1, v2, sb)
+            assert calls[True] == 1
+            merges += 1
+            assert va._memo is None and vb._memo is None
+            fresh = TrussView.compute(ga, k)
+            assert view_fields(va)[2:] == view_fields(vb)[2:] == view_fields(fresh)[2:], (sorted(edges), k)
+            assert va.pos.keys() == vb.pos.keys() == fresh.pos.keys()
+            assert_peel_order(va)
+            assert_peel_order(vb)
+    assert merges >= 300
+
+
 def test_view_merge_rejects_bad_pairs():
     g = graph_a()
     sup = _supports(g.adj)

@@ -33,6 +33,47 @@ def test_parse_error_reports_line_number():
         Graph.from_edge_list(["a b", "lonely"])
 
 
+def two_pass_parse(lines) -> Graph:
+    """The edge-list parser as it was: collect label pairs, then build with ``from_edges``."""
+    pairs = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) < 2:
+            raise ParseError(f"line {lineno}: expected two endpoint labels, got {line!r}")
+        if tokens[0] != tokens[1]:
+            pairs.append((tokens[0], tokens[1]))
+    return Graph.from_edges(pairs)
+
+
+def _parsed(parse, lines):
+    try:
+        g = parse(lines)
+    except ParseError as err:
+        return "error", str(err)
+    return list(g._labels.items()), g._ids, g.adj, g.edge_count
+
+
+def test_one_pass_parser_matches_the_two_pass_one():
+    rng = random.Random(16)
+    labels = ["a", "b", "c", "007", "7", "x-y", "\u00e9t\u00e9", "#no"]
+    shapes = [lambda u, v: f"{u} {v}\n", lambda u, v: f"{u}\t{v}", lambda u, v: f"  {u}  {v} \r\n",
+              lambda u, v: f"{u} {v} 1.5 extra", lambda u, v: f"{v} {u}",  # both orientations
+              lambda u, v: f"{u} {u}", lambda u, v: "", lambda u, v: "   \t",
+              lambda u, v: f"# {u} {v}", lambda u, v: f"   # {u} {v}", lambda u, v: f"\t#{u}"]
+    errors = 0
+    for _ in range(400):
+        lines = [rng.choice(shapes)(*rng.sample(labels, 2)) for _ in range(rng.randint(0, 25))]
+        if rng.random() < 0.2:  # a malformed line
+            lines.insert(rng.randint(0, len(lines)), rng.choice(["lonely", "  z  \n", "\tq"]))
+        want = _parsed(two_pass_parse, lines)
+        assert _parsed(Graph.from_edge_list, lines) == want, lines
+        errors += want[0] == "error"
+    assert errors >= 40
+
+
 def test_from_edges_keeps_requested_isolated_nodes():
     g = Graph.from_edges([(0, 1)], nodes=range(4))
     assert g.node_count == 4

@@ -1,14 +1,17 @@
 """Greedy search loop: budget split, round accounting, replay exactness."""
 
+from collections import Counter
+
 import pytest
 
 from trussmerge import (ConstraintFilter, Graph, Method, MergerKind, RunConfig, adaptive_search,
                         adaptive_update, gen_er, haversine_km, objective, run_method)
 from trussmerge import TrussView, search
 from trussmerge.decomposition import _supports
-from trussmerge.search import MergerPlan, MergerStep
+from trussmerge.candidates import CandidateMerger
+from trussmerge.search import MergerPlan, MergerStep, greedy_loop
 
-from conftest import gnp_edges
+from conftest import gnp_edges, random_graph
 from test_decomposition import A_EDGES, assert_peel_order, graph_a, view_fields
 from test_scale import email_scale_graph  # noqa: F401  (fixture)
 
@@ -174,6 +177,45 @@ def test_replay_matches_measurements(rng):
             assert objective(g, k, pairs[: i + 1]).size == step.size_after
         assert objective(g, k, pairs).size == plan.final_size
         done += 1
+
+
+def test_bounded_loop_picks_the_exhaustive_best(rng, monkeypatch):
+    """Each round's (pair, kind, size) is the argmin of (-size, v1, v2) over every candidate, exactly evaluated."""
+    runs = Counter()
+    merged_truss = TrussView._merged_truss
+
+    def counted(self, v1, v2, floor=None):
+        runs["evaluations"] += 1
+        return merged_truss(self, v1, v2, floor)
+
+    monkeypatch.setattr(TrussView, "_merged_truss", counted)
+    for _ in range(120):
+        g = random_graph(rng, rng.randint(3, 16), rng.uniform(0.2, 0.9))
+        k = rng.randint(3, 6)
+        rounds = []
+
+        def source(cfg, state, r, n_io):
+            nodes = state.view.g.nodes()
+            if len(nodes) < 2:
+                return []
+            pairs = [tuple(r.sample(nodes, 2)) for _ in range(r.randint(1, 12))]
+            pairs += r.sample(pairs, r.randint(0, len(pairs)))  # repeats, ranked by another kind
+            cands = [CandidateMerger(v1, v2, r.choice(list(MergerKind)), 0) for v1, v2 in pairs]
+            rounds.append((state.view.g.copy(), cands))
+            return cands
+
+        runs["evaluations"] = 0
+        plan = greedy_loop(g, RunConfig(k=k, b=3, method=Method.RD), source)
+        assert runs["evaluations"] == sum(s.evaluated for s in plan.steps)  # the commit reuses the winner's
+        for (h, cands), step in zip(rounds, plan.steps):
+            view = TrussView.compute(h, k)
+            sizes = [view.truss_size_after_merge(c.v1, c.v2) for c in cands]
+            best, size = min(zip(cands, sizes), key=lambda cs: (-cs[1], cs[0].v1, cs[0].v2))
+            assert (step.v1, step.v2, step.kind, step.size_after) == (best.v1, best.v2, best.kind, size)
+            assert step.evaluated == len(cands)
+            runs["ties"] += len({(c.v1, c.v2) for c, s in zip(cands, sizes) if s == size}) > 1
+            runs["rounds"] += 1
+    assert runs["rounds"] >= 250 and runs["ties"] >= 100, runs
 
 
 def test_search_does_not_mutate_input():

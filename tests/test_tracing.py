@@ -59,6 +59,8 @@ def test_recorder_spans_each_loop_once_and_uninstalls(graph_a_file, tmp_path):
             layers = rec.pass_metrics(pass_id, 1.0)
             assert layers["search.state_calls"] == executed and layers["decomposition.view_calls"] == 1
             assert layers["search.rounds"] == 2
+            # one eval span per candidate, stopped early or not; the commit reuses the winner's
+            assert layers["decomposition.eval_calls"] == sum(r["evaluated"] for r in plan["rounds"]) > 0
             if method == "BM":
                 assert groups["candidates.iom"] == groups["candidates.iim"] == executed
             else:
