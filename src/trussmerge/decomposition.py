@@ -25,24 +25,14 @@ evaluation returns an upper bound below the floor; a size at or above
 the floor is exact.
 
 ``TrussView.merge`` carries the view across an executed merge, so that it
-equals ``compute`` on the merged graph G'. Write N' for the merged node's
-neighbours, R' for the (k-1)-truss of G'. T' and its supports come from
-the winner's lift-then-peel above. An edge off v1 keeps its triangles but
+equals ``compute`` on the merged graph G'. The argument above needs only
+a valid peel order from a known superset of the truss, so the view keeps
+two levels: R over T_k, and, in ``lower``, G over R, with the first
+peel's order and R's supports. At level k-1 the superset is G' itself, so
+the same lift-then-peel gives R', and R' edges outside R are lifted
+edges. At level k it gives T'. An edge off v1 keeps its triangles but
 those through v1 and v2, and gains one through v1 when both its ends are
 in N'.
-
-R' (region lemma). Call an edge able when its support in G' is at least
-k-3, as every R' edge's is. Let C hold the edges outside R and off v1
-that have k-3 triangles of able edges and are reached from the star by
-such triangles: from a star edge (v1, x) to (x, w), from a C edge to its
-neighbours. Then R' is the (k-1)-truss of Y = R - the pair's edges + the
-star + C. Let Q0 be the R' edges outside R, off v1 and outside C. An edge
-of Q0 has no R' triangle through v1 (the star would reach it) and none
-with a C edge (C would), so its k-3 R' triangles lie in R + Q0 and are
-triangles of G. R's edges have theirs in R, so R + Q0 is a (k-1)-truss
-of G, and Q0 is empty. In Y, an R edge off v1 loses a triangle only
-where it had them through both v1 and v2; those, the star and C are
-counted up front, every other support on first read (see ``_peel``).
 
 pos' (peel order). An order of the shell R' - T' is a valid peel order
 iff every shell edge has at most k-3 forward triangles, whose other two
@@ -53,7 +43,8 @@ none is left; V goes last, in the order ``_peel`` removes it from T' + V,
 whose k-truss is T'. Every edge before V keeps at most k-3 forward
 triangles by the closure, and V's order is a peel, so the invariant
 holds. A kept edge gains a forward triangle only next to an edge that was
-lifted into T', is new to the shell or joined V; inside the star, only if
+lifted into T', is new to the superset off v1 (at level k, an edge the
+lower level lifted) or joined V; inside the star, only if
 neither its old triangle through v1 nor that through v2 counted, since
 the one through v1 replaces both. Only those are checked.
 """
@@ -164,22 +155,6 @@ def _supports(adj: dict[NodeId, set[NodeId]]) -> dict[Edge, int]:
     return {(u, v): len(ns & adj[v]) for u, ns in adj.items() for v in ns if u < v}
 
 
-def merge_supports(g: Graph, sup: dict[Edge, int], v1: NodeId, v2: NodeId) -> None:
-    """Merge v2 into v1 in place and update ``sup``, the triangle count of every edge.
-
-    Only the pair's edges and the edges inside the merged node's star
-    N' = (N1 | N2) - {v1, v2} can change; see :func:`_fix_star`.
-    """
-    a = g.adj
-    n1, n2 = set(a.get(v1, ())), a.get(v2, _EMPTY)
-    g._merge_inplace(v1, v2)  # validates the pair before sup changes
-    for w in n1:
-        del sup[canon(v1, w)]
-    for w in n2 - {v1}:
-        del sup[canon(v2, w)]
-    _fix_star(sup, a[v1], a, n1, n2, v1)
-
-
 def _fix_star(sup, star: set[NodeId], adj: dict[NodeId, set[NodeId]], n1, n2, v1: NodeId) -> None:
     """Merge v2 into v1 in ``sup``, the supports of ``adj``, inside the new star N'.
 
@@ -250,21 +225,28 @@ class TrussView:
     support inside the k-truss, and each shell edge's rank in an order that
     peels the (k-1)-truss down to the k-truss: ``compute`` numbers its own
     removal order 0, 1, ...; ``merge`` keeps ranks rising in iteration order.
-    Evaluation never writes into these fields; :meth:`merge` carries them
-    across the merge a greedy round executes, reusing the last complete
-    evaluation when it was of the same pair.
+    ``lower`` holds the same one level down, over ``g``'s own adjacency, and
+    its k-truss adjacency is this view's ``adj_km1``. Evaluation never
+    writes into these fields; :meth:`merge` carries both levels across the
+    merge a greedy round executes, reusing the last complete evaluation
+    when it was of the same pair.
     """
 
     g: Graph
     k: int
-    nodes_km1: set[NodeId]
     adj_km1: dict[NodeId, set[NodeId]]
     tk_size: int
     tk_adj: dict[NodeId, set[NodeId]]
     sup_tk: dict[Edge, int]
     pos: dict[Edge, int]
+    lower: TrussView | None = field(default=None, repr=False)
     # ((v1, v2), its _merged_truss result) of the last complete evaluation
     _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def nodes_km1(self) -> set[NodeId]:
+        """Nodes of the (k-1)-truss."""
+        return set(self.adj_km1)
 
     @property
     def shell(self) -> set[Edge]:
@@ -272,25 +254,25 @@ class TrussView:
         return set(self.pos)
 
     @classmethod
-    def compute(cls, g: Graph, k: int, sup: dict[Edge, int] | None = None) -> "TrussView":
+    def compute(cls, g: Graph, k: int) -> "TrussView":
         """Peel the graph to its (k-1)-truss, then once more to its k-truss.
 
         Both peels reach the unique fixpoints the trussness map would give
         but only touch edges that actually fall out. The second peel's
-        removal order is the shell edges' ``pos``. A given ``sup`` (every edge's
-        triangle count, as kept by :func:`merge_supports`) is copied, not recounted.
+        removal order is the shell edges' ``pos``; the first peel's, with the
+        (k-1)-truss supports, makes the ``lower`` view at level k-1.
         """
         if k < 3:
             raise ValueError("k must be at least 3")
         adj = {v: set(ns) for v, ns in g.adj.items()}
-        sup = _supports(g.adj) if sup is None else dict(sup)
-        _peel(adj, sup, k - 1)
+        sup = _supports(g.adj)
+        first = _peel(adj, sup, k - 1)
         adj_km1 = {v: ns for v, ns in adj.items() if ns}
+        lower = cls(g, k - 1, g.adj, len(sup), adj_km1, dict(sup), {e: i for i, e in enumerate(first)})
         tk_adj = {v: set(ns) for v, ns in adj_km1.items()}
         shell = _peel(tk_adj, sup, k)
         tk_adj = {v: ns for v, ns in tk_adj.items() if ns}
-        pos = {e: i for i, e in enumerate(shell)}
-        return cls(g, k, set(adj_km1), adj_km1, len(sup), tk_adj, sup, pos)
+        return cls(g, k, adj_km1, len(sup), tk_adj, sup, {e: i for i, e in enumerate(shell)}, lower)
 
     def truss_size_after_merge(self, v1: NodeId, v2: NodeId, floor: int | None = None) -> int:
         """|E(T_k)| of the graph with v2 merged into v1.
@@ -323,7 +305,7 @@ class TrussView:
         star = g.adj[v1] | g.adj[v2]
         star.discard(v1)
         star.discard(v2)
-        star &= self.nodes_km1
+        star &= a.keys()
         # lift pass, in peel order, seeded with the shell edges inside the star: an
         # edge counts a triangle when both other edges are star, k-truss, later
         # shell or already lifted edges. A triangle is fresh at its earliest
@@ -394,23 +376,42 @@ class TrussView:
         peeled = _peel(adj, sup, self.k, math.inf if floor is None else size - floor)
         return size - len(peeled), (adj, sup, peeled, star.union(lifted_adj))
 
-    def merge(self, v1: NodeId, v2: NodeId, sup: dict[Edge, int]) -> None:
-        """Merge v2 into v1 in ``g`` and ``sup`` as :func:`merge_supports` does, and carry the view.
+    def merge(self, v1: NodeId, v2: NodeId) -> None:
+        """Merge v2 into v1 in ``g``, and carry both levels of the view.
 
-        Afterwards every field equals :meth:`compute` on the merged graph,
-        with ``pos`` a valid peel order of the same shell edges; the module
-        docstring gives the argument. Work stays near the merged node's star.
+        Afterwards every field of both levels equals :meth:`compute` on the
+        merged graph, with ``pos`` a valid peel order of the same shell
+        edges; the module docstring gives the argument. Each level runs one
+        lift-then-peel on the unmerged graph, the lower level's gives the
+        new (k-1)-truss, and work stays near the merged node's star.
         """
         memo, self._memo = self._memo, None
-        size, (h_adj, h_sup, h_peeled, h_nodes) = (
-            memo[1] if memo and memo[0] == (v1, v2) else self._merged_truss(v1, v2))
+        result = memo[1] if memo and memo[0] == (v1, v2) else self._merged_truss(v1, v2)
+        low = self.lower
+        ranks, low_ranks = self._ranks_at(v1, v2), low._ranks_at(v1, v2)
+        low_result = low._merged_truss(v1, v2)
+        self.g._merge_inplace(v1, v2)
+        lifted, peeled = low._commit(v1, v2, low_result, low_ranks, [], {})
+        # adj_km1 is R' now: R edges the lower peel removed left it, its lifted edges joined it
+        self._commit(v1, v2, result, ranks, peeled, lifted)
+
+    def _ranks_at(self, v1: NodeId, v2: NodeId) -> list[dict[NodeId, int]]:
+        """The rank of each superset edge at v1 and at v2, keyed by its other end (infinite in T_k)."""
         a, pos = self.adj_km1, self.pos
-        n1, n2 = set(a.get(v1, ())), set(a.get(v2, ()))
-        # the old rank of each R edge at v1 and at v2 (infinite for T_k edges)
-        ranks = [{w: pos.get(canon(v, w), math.inf) for w in ns} for v, ns in ((v1, n1), (v2, n2))]
-        merge_supports(self.g, sup, v1, v2)
-        # T' from the winner's own lift-then-peel
-        tk, st = self.tk_adj, self.sup_tk
+        return [{w: pos.get(canon(v, w), math.inf) for w in a.get(v, ())} for v in (v1, v2)]
+
+    def _commit(self, v1: NodeId, v2: NodeId, result, ranks: list[dict[NodeId, int]],
+                gone: list[Edge], came: dict[Edge, int]) -> tuple[dict[Edge, int], list[Edge]]:
+        """Write T' from the pair's ``_merged_truss`` result and repair ``pos``.
+
+        ``adj_km1`` already holds the merged superset. ``ranks`` are from
+        :meth:`_ranks_at` before the merge, ``gone`` the edges off the pair
+        that left the superset and ``came`` those off v1 that joined it.
+        Returns the shell edges lifted into T', with their old ranks, and
+        the edges the peel removed.
+        """
+        size, (h_adj, h_sup, h_peeled, h_nodes) = result
+        a, tk, st, pos = self.adj_km1, self.tk_adj, self.sup_tk, self.pos
         for x, ns in ((v1, tk.get(v1, ())), (v2, tk.pop(v2, ()))):
             for w in ns:
                 st.pop(canon(x, w), None)
@@ -423,72 +424,14 @@ class TrussView:
             else:
                 tk.pop(x, None)
         self.tk_size = size
-        c, r_peeled = self._carry_km1(v1, v2, n1, n2, sup)
         # pos': drop the shell edges that left it, then repair the order
-        for e in chain((canon(v1, w) for w in n1), (canon(v2, w) for w in n2), r_peeled):
+        for e in chain((canon(v1, w) for w in ranks[0]), (canon(v2, w) for w in ranks[1]), gone):
             pos.pop(e, None)
         lifted = {e: pos.pop(e) for e in h_sup if e in pos}
-        in_r = lambda e: e[1] in a.get(e[0], _EMPTY)
         new = {canon(v1, x) for x in a.get(v1, ()) if x not in tk.get(v1, _EMPTY)}
-        fallen = {e for e in h_peeled if v1 not in e and e not in pos and in_r(e)}
-        c = {e for e in c if in_r(e)}
-        self._carry_pos(v1, new | c | fallen, {**lifted, **dict.fromkeys(c, -1)}, ranks)
-
-    def _carry_km1(self, v1: NodeId, v2: NodeId, n1: set[NodeId], n2: set[NodeId],
-                   sup: dict[Edge, int]) -> tuple[set[Edge], list[Edge]]:
-        """Turn ``adj_km1`` and ``nodes_km1`` into R' by a local peel (the region lemma).
-
-        ``n1``, ``n2`` are the pair's old R neighbours; ``g`` and ``sup`` are
-        already merged. Returns C and the edges the peel removed.
-        """
-        g, a, thr = self.g, self.adj_km1, self.k - 3
-        # able[x]: the w whose edge (x, w) has full support >= k-3, as every R' edge does
-        able = _Lazy(lambda x: {w for w in g.adj[x] if sup[(x, w) if x < w else (w, x)] >= thr})
-        c: set[Edge] = set()
-        seen: set[Edge] = set()
-        todo: list[Edge] = []
-
-        def admit(x: NodeId, ws: set[NodeId]) -> None:  # the non-R edges (x, w) with k-3 able triangles
-            for w in ws:
-                e = (x, w) if x < w else (w, x)
-                if e not in seen:
-                    seen.add(e)
-                    if sup[e] >= thr and len(able[x] & able[w]) >= thr:
-                        c.add(e)
-                        todo.append(e)
-
-        for x in able[v1]:
-            admit(x, (g.adj[x] - a.get(x, _EMPTY)) & able[v1])
-        while todo:
-            x, y = todo.pop()
-            common = able[x] & able[y]
-            common.discard(v1)
-            admit(x, common - a.get(x, _EMPTY))
-            admit(y, common - a.get(y, _EMPTY))
-        both = n1 & n2  # R edges among them lose their triangle through v2
-        folds = [(x, y) for x in both for y in a[x] & both if x < y]
-        for x in (v1, v2):
-            for w in a.pop(x, ()):
-                a[w].discard(x)
-        # Y: the star's edges to R's nodes stay even if unable, so that no R edge
-        # but the folds starts below k-3 (a star edge that is unable peels first)
-        a[v1] = {x for x in g.adj[v1] if x in self.nodes_km1 or sup[canon(v1, x)] >= thr}
-        for x in a[v1]:
-            a.setdefault(x, set()).add(v1)
-        for x, y in c:
-            a.setdefault(x, set()).add(y)
-            a.setdefault(y, set()).add(x)
-        support = lambda e: len(a[e[0]] & a[e[1]])  # in Y, when first read (see _peel)
-        ysup = _Lazy(support)
-        ysup.update((e, support(e)) for e in chain((canon(v1, x) for x in a[v1]), c, folds))
-        peeled = _peel(a, ysup, self.k - 1)
-        for x in {v1, v2}.union(n1, n2, a[v1], chain.from_iterable(c), chain.from_iterable(peeled)):
-            if a.get(x):
-                self.nodes_km1.add(x)
-            else:
-                a.pop(x, None)
-                self.nodes_km1.discard(x)
-        return c, peeled
+        fallen = {e for e in h_peeled if v1 not in e and e not in pos and e[1] in a.get(e[0], _EMPTY)}
+        self._carry_pos(v1, new.union(fallen, came), {**lifted, **dict.fromkeys(came, -1)}, ranks)
+        return lifted, h_peeled
 
     def _carry_pos(self, v1: NodeId, new: set[Edge], ahead: dict[Edge, int],
                    ranks: list[dict[NodeId, int]]) -> None:
@@ -496,8 +439,8 @@ class TrussView:
 
         ``pos`` holds the kept shell edges at their old ranks, ``new`` the
         edges new to the shell, ``ahead`` the edges off v1 that now count as
-        forward for kept edges ranked after their old rank (-1 for C edges),
-        and ``ranks`` the old ranks of the R edges at v1 and at v2.
+        forward for kept edges ranked after their old rank (-1 for edges new
+        to R'), and ``ranks`` the old ranks of the R edges at v1 and at v2.
         """
         a, tk, pos, thr = self.adj_km1, self.tk_adj, self.pos, self.k - 3
         vs = set(new)

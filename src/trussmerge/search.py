@@ -3,11 +3,11 @@
 Every method runs one round loop, :func:`greedy_loop`; only its
 candidate source differs. Round 0 peels the working graph to its
 (k-1)-truss and k-truss from edge supports; each later round executes
-the previous winner, updating the supports at the merged pair and
-repairing both trusses near it (:meth:`TrussView.merge`). A round then
-partitions and prunes nodes, asks the source for candidate mergers,
-and picks the best one by exact evaluation, which stops early for any
-candidate that provably cannot beat the best so far. BM, EQ, II
+the previous winner and repairs both trusses near the merged node with
+the lift-then-peel that evaluates candidates (:meth:`TrussView.merge`).
+A round then partitions and prunes nodes, asks the source for candidate
+mergers, and picks the best one by exact evaluation, which stops early
+for any candidate that provably cannot beat the best so far. BM, EQ, II
 and IO share one source, the top inside-outside (IOM) plus the top
 inside-inside (IIM) candidates: under BM the split of the per-round
 candidate budget between the two kinds adapts toward whichever kind
@@ -27,8 +27,8 @@ from typing import Callable, Sequence
 
 from .candidates import (CandidateMerger, ConstraintFilter, MergerKind, ScoringContext,
                          find_iim_candidates, find_iom_candidates)
-from .decomposition import TrussView, _supports, truss_decompose
-from .graph import Edge, Graph, NodeId, merge_all
+from .decomposition import TrussView, truss_decompose
+from .graph import Graph, NodeId, merge_all
 from .pruning import NodePartition, prune_outside_maximal
 
 
@@ -135,19 +135,19 @@ def _initial_n_io(cfg: RunConfig) -> int:
     return {Method.II: 0, Method.IO: cfg.n_c}.get(cfg.method, cfg.n_c // 2)
 
 
-def build_round_state(work: Graph, k: int, sup: dict[Edge, int] | None = None,
+def build_round_state(work: Graph, k: int,
                       carried: tuple[TrussView, NodeId, NodeId] | None = None) -> ScoringContext:
-    """The round's ScoringContext (trusses, partition, pruning); ``sup`` as in :meth:`TrussView.compute`.
+    """The round's ScoringContext (trusses, partition, pruning).
 
     With ``carried`` = (the previous round's view of ``work``, v1, v2), merges
-    v2 into v1 in ``work`` and ``sup`` and carries that view across the merge
+    v2 into v1 in ``work`` and carries that view across the merge
     (:meth:`TrussView.merge`) instead of computing a new one.
     """
     if carried is None:
-        view = TrussView.compute(work, k, sup)
+        view = TrussView.compute(work, k)
     else:
         view, v1, v2 = carried
-        view.merge(v1, v2, sup)
+        view.merge(v1, v2)
     p = NodePartition.of(work, view.nodes_km1)
     return ScoringContext(view, p, prune_outside_maximal(p.outside, p.inside_neighbors))
 
@@ -177,12 +177,11 @@ def greedy_loop(g: Graph, cfg: RunConfig, source: CandidateSource, n_io: int = 0
     work = g.copy()
     rng = random.Random(cfg.seed)
     adapt = source is _split_candidates and cfg.method is Method.BM
-    sup = _supports(work.adj)
     initial, counts, skipped, carried = 0, None, 0, None
     steps: list[MergerStep] = []
     for rnd in range(cfg.b):
         t0 = time.perf_counter()
-        state = build_round_state(work, cfg.k, sup, carried)
+        state = build_round_state(work, cfg.k, carried)
         if rnd == 0:
             initial, counts = state.view.tk_size, state.node_counts()
         cands = source(cfg, state, rng, n_io)

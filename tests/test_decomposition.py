@@ -11,8 +11,6 @@ from trussmerge import (Graph, TrussView, core_decompose, k_truss_edges,
                         node_trussness, post_merger_truss_size, shell_edges,
                         truss_decompose, truss_subgraph)
 
-from trussmerge.decomposition import _supports, merge_supports
-
 import oracles as orc
 from conftest import gnp_edges, random_graph
 
@@ -132,6 +130,15 @@ def test_view_compute_matches_decomposition(rng):
                 nbrs = lambda x: {w for f in left if x in f for w in f if w != x}
                 assert len(nbrs(e[0]) & nbrs(e[1])) < k - 2
                 left.remove(e)
+            # the level below: G over R, R's supports counted inside R, and the first
+            # order a valid peel of G down to R (fewer than k-3 triangles when removed)
+            low, r = view.lower, k_truss_edges(d, k - 1)
+            assert (low.g, low.k, low.adj_km1, low.tk_adj) == (g, k - 1, g.adj, view.adj_km1)
+            assert low.tk_size == len(r) and low.pos.keys() == g.edge_set() - r
+            assert low.sup_tk == {(u, v): len(view.adj_km1[u] & view.adj_km1[v]) for u, v in r}
+            assert_peel_order(low)
+            if k == 3:  # every edge is in the 2-truss
+                assert not low.pos and low.tk_size == g.edge_count
 
 
 def assert_peel_order(view: TrussView) -> None:
@@ -149,15 +156,15 @@ def view_fields(v: TrussView) -> tuple:
     return v.g, v.k, v.nodes_km1, v.adj_km1, v.tk_size, v.tk_adj, v.sup_tk
 
 
-def test_view_from_carried_supports_matches_compute(rng):
-    for _ in range(30):
-        g = random_graph(rng, rng.randint(3, 16), rng.uniform(0.2, 0.8))
-        sup = _supports(g.adj)
-        for k in range(3, 7):
-            fresh, carried = TrussView.compute(g, k), TrussView.compute(g, k, sup)
-            assert view_fields(carried) == view_fields(fresh)
-            assert carried.pos == fresh.pos
-        assert sup == _supports(g.adj)  # the view peels a copy
+def assert_carried(view: TrussView, fresh: TrussView, *context) -> None:
+    """Both levels of a carried view equal ``fresh``, each ``pos`` a peel order of the same edges."""
+    assert view.lower.adj_km1 is view.g.adj and view.lower.tk_adj is view.adj_km1
+    for v, f in ((view, fresh), (view.lower, fresh.lower)):
+        assert view_fields(v) == view_fields(f), context
+        assert v.pos.keys() == f.pos.keys(), context
+        assert_peel_order(v)
+        # the shell scan reads pos as a heap: its ranks must rise in iteration order
+        assert list(v.pos.values()) == sorted(set(v.pos.values()))
 
 
 def _merge_pair(rng: random.Random, g: Graph) -> tuple[str, int, int]:
@@ -177,27 +184,6 @@ def _merge_pair(rng: random.Random, g: Graph) -> tuple[str, int, int]:
     return (shape, v1, v2) if rng.random() < 0.5 else (shape, v2, v1)
 
 
-def test_merge_supports_matches_recount(rng):
-    shapes = Counter()
-    for i in range(240):
-        n = rng.randint(2, 18)
-        edges = gnp_edges(rng, n, rng.uniform(0.1, 0.8))
-        if i % 3 == 0:  # node n is a hub with most nodes in its star, else isolated
-            edges |= {(v, n) for v in range(n) if rng.random() < 0.85}
-        g = Graph.from_edges(sorted(edges), nodes=range(n + 3))
-        ref = g.copy()
-        sup = _supports(g.adj)
-        for _ in range(rng.randint(1, g.node_count - 1)):
-            shape, v1, v2 = _merge_pair(rng, g)
-            shapes[shape] += 1
-            merge_supports(g, sup, v1, v2)
-            ref._merge_inplace(v1, v2)
-            assert g.adj == ref.adj and g.edge_count == ref.edge_count
-            assert sup == _supports(g.adj), (sorted(edges), shape, v1, v2)
-    assert min(shapes.values()) >= 50, shapes
-    assert len(shapes) == 5
-
-
 def test_carried_view_matches_compute_after_every_merge(rng):
     """TrussView.merge, merge after merge, against compute on the merged graph."""
     shapes = Counter()
@@ -208,8 +194,7 @@ def test_carried_view_matches_compute_after_every_merge(rng):
             edges |= {(v, n) for v in range(n) if rng.random() < 0.85}
         g = Graph.from_edges(sorted(edges), nodes=range(n + 2))
         k = rng.randint(3, 6)
-        sup = _supports(g.adj)
-        view = TrussView.compute(g, k, sup)
+        view = TrussView.compute(g, k)
         pairs = []
         while g.node_count > 1:
             shape, v1, v2 = _merge_pair(rng, g)
@@ -218,14 +203,9 @@ def test_carried_view_matches_compute_after_every_merge(rng):
             shapes.update(case for case, hit in (
                 ("v1 outside R", v1 not in view.nodes_km1), ("v2 outside R", v2 not in view.nodes_km1),
                 ("empty T_k", not view.tk_size), ("empty shell", not view.pos)) if hit)
-            view.merge(v1, v2, sup)
+            view.merge(v1, v2)
             fresh = TrussView.compute(g, k)
-            assert sup == _supports(g.adj)
-            assert view_fields(view) == view_fields(fresh), (sorted(edges), k, pairs)
-            assert view.pos.keys() == fresh.pos.keys()
-            assert_peel_order(view)
-            # the shell scan reads pos as a heap: its ranks must rise in iteration order
-            assert list(view.pos.values()) == sorted(set(view.pos.values()))
+            assert_carried(view, fresh, sorted(edges), k, pairs)
             if g.node_count > 1:
                 u, w = rng.sample(g.nodes(), 2)
                 assert view.truss_size_after_merge(u, w) == fresh.truss_size_after_merge(u, w)
@@ -256,12 +236,15 @@ def test_bounded_evaluation_is_exact_at_or_above_the_floor(rng):
 
 
 def test_merge_reuses_only_its_own_pairs_evaluation(rng, monkeypatch):
-    """A merge after its pair's complete evaluation skips the rerun and equals one that reran."""
+    """A merge after its pair's complete evaluation skips the rerun and equals one that reran.
+
+    The level below has no evaluations to reuse: each merge runs its lift-then-peel once.
+    """
     calls = Counter()
     merged_truss = TrussView._merged_truss
 
     def counted(self, v1, v2, floor=None):
-        calls[floor is None] += 1
+        calls["lower" if self.lower is None else "top", floor is None] += 1
         return merged_truss(self, v1, v2, floor)
 
     monkeypatch.setattr(TrussView, "_merged_truss", counted)
@@ -273,8 +256,8 @@ def test_merge_reuses_only_its_own_pairs_evaluation(rng, monkeypatch):
             edges |= {(v, n) for v in range(n) if rng.random() < 0.85}
         g = Graph.from_edges(sorted(edges), nodes=range(n + 1))
         k = rng.randint(3, 6)
-        (ga, sa), (gb, sb) = [(g.copy(), _supports(g.adj)) for _ in range(2)]
-        va, vb = TrussView.compute(ga, k, sa), TrussView.compute(gb, k, sb)
+        ga, gb = g.copy(), g.copy()
+        va, vb = TrussView.compute(ga, k), TrussView.compute(gb, k)
         while ga.node_count > 2:
             _, v1, v2 = _merge_pair(rng, ga)
             va.truss_size_after_merge(v1, v2)
@@ -285,39 +268,28 @@ def test_merge_reuses_only_its_own_pairs_evaluation(rng, monkeypatch):
             other = tuple(rng.sample(gb.nodes(), 2))
             vb.truss_size_after_merge(*((v2, v1) if rng.random() < 0.5 or other == (v1, v2) else other))
             calls.clear()
-            va.merge(v1, v2, sa)
-            assert calls[True] == 0
-            vb.merge(v1, v2, sb)
-            assert calls[True] == 1
+            va.merge(v1, v2)
+            assert calls == Counter({("lower", True): 1})
+            vb.merge(v1, v2)
+            assert calls == Counter({("lower", True): 2, ("top", True): 1})
             merges += 1
             assert va._memo is None and vb._memo is None
-            fresh = TrussView.compute(ga, k)
-            assert view_fields(va)[2:] == view_fields(vb)[2:] == view_fields(fresh)[2:], (sorted(edges), k)
-            assert va.pos.keys() == vb.pos.keys() == fresh.pos.keys()
-            assert_peel_order(va)
-            assert_peel_order(vb)
+            assert view_fields(va)[2:] == view_fields(vb)[2:], (sorted(edges), k)
+            for v in (va, vb):
+                assert_carried(v, TrussView.compute(v.g, k), sorted(edges), k)
     assert merges >= 300
 
 
 def test_view_merge_rejects_bad_pairs():
     g = graph_a()
-    sup = _supports(g.adj)
-    view = TrussView.compute(g, 4, sup)
-    before = copy.deepcopy((view_fields(view)[2:], view.pos, sup, g.adj))
+    view = TrussView.compute(g, 4)
+    before = copy.deepcopy((view_fields(view)[2:], view.pos, view_fields(view.lower)[2:],
+                            view.lower.pos, g.adj))
     for v1, v2 in ((0, 0), (0, 99), (99, 0)):
         with pytest.raises(ValueError):
-            view.merge(v1, v2, sup)
-    assert (view_fields(view)[2:], view.pos, sup, g.adj) == before
-
-
-def test_merge_supports_rejects_bad_pairs():
-    g = graph_a()
-    sup = _supports(g.adj)
-    before = dict(sup)
-    for v1, v2 in ((0, 0), (0, 99), (99, 0)):
-        with pytest.raises(ValueError):
-            merge_supports(g, sup, v1, v2)
-    assert sup == before and g.edge_set() == graph_a().edge_set()
+            view.merge(v1, v2)
+    assert (view_fields(view)[2:], view.pos, view_fields(view.lower)[2:], view.lower.pos,
+            g.adj) == before
 
 
 def test_view_rejects_small_k():

@@ -7,12 +7,11 @@ import pytest
 from trussmerge import (ConstraintFilter, Graph, Method, MergerKind, RunConfig, adaptive_search,
                         adaptive_update, gen_er, haversine_km, objective, run_method)
 from trussmerge import TrussView, search
-from trussmerge.decomposition import _supports
 from trussmerge.candidates import CandidateMerger
 from trussmerge.search import MergerPlan, MergerStep, greedy_loop
 
 from conftest import gnp_edges, random_graph
-from test_decomposition import A_EDGES, assert_peel_order, graph_a, view_fields
+from test_decomposition import A_EDGES, assert_carried, graph_a
 from test_scale import email_scale_graph  # noqa: F401  (fixture)
 
 
@@ -56,15 +55,11 @@ def test_carried_supports_match_recompute_at_scale(email_scale_graph, monkeypatc
     views = []
     real = search.build_round_state
 
-    def checked(work, k, sup, carried=None):
+    def checked(work, k, carried=None):
         assert (carried is None) == (not views)  # only round 0 computes its view
-        state = real(work, k, sup, carried)
-        assert sup == _supports(work.adj)
-        fresh = TrussView.compute(work, k)
-        assert view_fields(state.view) == view_fields(fresh)
-        # the carried view keeps its own peel order of the same shell edges
-        assert state.view.pos.keys() == fresh.pos.keys()
-        assert_peel_order(state.view)
+        state = real(work, k, carried)
+        # both carried levels keep their own peel orders of the same shell edges
+        assert_carried(state.view, TrussView.compute(work, k))
         views.append(state.view)
         return state
 
@@ -185,7 +180,7 @@ def test_bounded_loop_picks_the_exhaustive_best(rng, monkeypatch):
     merged_truss = TrussView._merged_truss
 
     def counted(self, v1, v2, floor=None):
-        runs["evaluations"] += 1
+        runs["evaluations" if self.lower else "lower repairs"] += 1
         return merged_truss(self, v1, v2, floor)
 
     monkeypatch.setattr(TrussView, "_merged_truss", counted)
@@ -204,9 +199,11 @@ def test_bounded_loop_picks_the_exhaustive_best(rng, monkeypatch):
             rounds.append((state.view.g.copy(), cands))
             return cands
 
-        runs["evaluations"] = 0
+        runs["evaluations"] = runs["lower repairs"] = 0
         plan = greedy_loop(g, RunConfig(k=k, b=3, method=Method.RD), source)
         assert runs["evaluations"] == sum(s.evaluated for s in plan.steps)  # the commit reuses the winner's
+        # each executed merge repairs the level below once; the last step's is never executed
+        assert runs["lower repairs"] == min(len(plan.steps), 2)
         for (h, cands), step in zip(rounds, plan.steps):
             view = TrussView.compute(h, k)
             sizes = [view.truss_size_after_merge(c.v1, c.v2) for c in cands]
