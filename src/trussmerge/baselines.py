@@ -19,11 +19,11 @@ import numpy as np
 
 from .candidates import (CandidateMerger, MergerKind, ScoringContext, _cross, _int, best_pairs,
                          top_outside_nodes)
-from .decomposition import truss_decompose
+# truss_decompose and build_round_state are not called here: perfbench/tracing.py looks
+# them up in this module, as in cli and search, to span decompositions and state builds
+from .decomposition import truss_decompose  # noqa: F401
 from .graph import Graph, NodeId
-# build_round_state is not called here: the tracer in perfbench/tracing.py
-# looks it up in this module, as in cli and search, to span round-state builds
-from .search import Method, MergerPlan, RunConfig, build_round_state, greedy_loop  # noqa: F401
+from .search import Method, MergerPlan, RunConfig, build_round_state, greedy_loop, objective  # noqa: F401
 
 BRUTE_FORCE_NODE_LIMIT = 200
 
@@ -33,12 +33,6 @@ S_LABEL = "s{i}_{side}"
 R_LABEL = "r{q}"
 
 Pair = tuple[NodeId, NodeId]
-
-
-def _full_merge_size(g: Graph, k: int, u: NodeId, v: NodeId) -> int:
-    # deliberately the slow path: merge, then decompose everything
-    d = truss_decompose(g.merge(u, v))
-    return sum(1 for t in d.edge_trussness.values() if t >= k)
 
 
 def brute_force_best_merger(g: Graph, k: int, pairs: Iterable[Pair] | None = None) -> tuple[Pair, int]:
@@ -57,7 +51,7 @@ def brute_force_best_merger(g: Graph, k: int, pairs: Iterable[Pair] | None = Non
     best_pair: Pair | None = None
     best_size = -1
     for u, v in pairs:
-        size = _full_merge_size(g, k, u, v)
+        size = objective(g, k, [(u, v)]).size
         if size > best_size:
             best_pair = (u, v)
             best_size = size
@@ -81,12 +75,8 @@ def naive_greedy(g: Graph, k: int, b: int) -> MergerPlan:
     return _baseline_loop(g, RunConfig(k=k, b=b, method=Method.NAIVE), _naive_candidates)
 
 
-def _baseline_loop(g: Graph, cfg: RunConfig, make_candidates) -> MergerPlan:
-    """The shared greedy loop with a baseline's candidate source; ``n_io`` stays 0.
-
-    Every RD, NE, NT and NAIVE run enters here, so a trace spans each one once.
-    """
-    return greedy_loop(g, cfg, make_candidates)
+# the tracer spans every RD, NE, NT and NAIVE run under this name
+_baseline_loop = greedy_loop
 
 
 def _rd_candidates(cfg: RunConfig, state: ScoringContext, rng: random.Random,

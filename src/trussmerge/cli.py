@@ -296,19 +296,18 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
-def _add_run_flags(p: argparse.ArgumentParser, *, with_method: bool = True) -> None:
-    p.add_argument("--budget", type=int, default=10, help="mergers to apply (b)")
+def _add_run_flags(p: argparse.ArgumentParser, *, budgeted: bool = True) -> None:
     p.add_argument("--ni", type=int, default=100, help="inside pool size")
     p.add_argument("--no", type=int, default=50, help="outside pool size")
     p.add_argument("--nc", type=int, default=10, help="candidates evaluated per round")
-    if with_method:
-        p.add_argument("--method", default="BM", choices=[m.value for m in Method])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1,
                    help="must be >= 1; the search runs on one thread, so speed and results never change")
-    p.add_argument("--stable-output", action="store_true",
-                   help="zero wall-clock fields for byte-comparable output")
     p.add_argument("--out", default=None, help="write output here instead of stdout")
+    if budgeted:  # robustness-study's length is --rounds, and its CSVs have no wall-clock field
+        p.add_argument("--budget", type=int, default=10, help="mergers to apply (b)")
+        p.add_argument("--stable-output", action="store_true",
+                       help="zero wall-clock fields for byte-comparable output")
 
 
 @cache  # one parser per process: each build leaves about 450 objects of cyclic garbage
@@ -329,6 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset")
     p.add_argument("--k", type=int, required=True)
     _add_run_flags(p)
+    p.add_argument("--method", default="BM", choices=[m.value for m in Method])
     p.add_argument("--coords", default=None, help="coordinate file: label lat lon")
     p.add_argument("--dist-threshold", type=float, default=None, help="merge radius in km")
     p.add_argument("--allow-no-op", type=_bool_flag, default=True,
@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_int_list, required=True)
     p.add_argument("--methods", default="BM,EQ,II,IO,RD,NE,NT")
     p.add_argument("--trials", type=int, default=5, help="seeds averaged for randomized methods")
-    _add_run_flags(p, with_method=False)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("robustness-study",
@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", default=None, choices=["merge", "add_edge"])
     p.add_argument("--rounds", type=int, default=3)
     p.add_argument("--seeds", type=int, default=1, help="number of consecutive seeds")
-    _add_run_flags(p, with_method=False)
+    _add_run_flags(p, budgeted=False)
     p.set_defaults(func=cmd_robustness_study)
 
     p = sub.add_parser("fixtures", help="emit constructed gadget graphs as edge lists")

@@ -123,7 +123,6 @@ def truss_subgraph(g: Graph, d: TrussDecomposition, k: int) -> Graph:
                 sub._ids[sub._labels[x]] = x
         sub.adj[u].add(v)
         sub.adj[v].add(u)
-        sub._m += 1
     return sub
 
 
@@ -221,27 +220,35 @@ class _Lazy(dict):
 class TrussView:
     """Per-(graph, k) state behind fast post-merger evaluation.
 
-    Holds the (k-1)-truss adjacency, the k-truss adjacency with each edge's
-    support inside the k-truss, and each shell edge's rank in an order that
-    peels the (k-1)-truss down to the k-truss: ``compute`` numbers its own
-    removal order 0, 1, ...; ``merge`` keeps ranks rising in iteration order.
-    ``lower`` holds the same one level down, over ``g``'s own adjacency, and
-    its k-truss adjacency is this view's ``adj_km1``. Evaluation never
-    writes into these fields; :meth:`merge` carries both levels across the
-    merge a greedy round executes, reusing the last complete evaluation
-    when it was of the same pair.
+    Holds the k-truss adjacency with each edge's support inside the k-truss,
+    and each shell edge's rank in an order that peels the (k-1)-truss down to
+    the k-truss: ``compute`` numbers its own removal order 0, 1, ...;
+    ``merge`` keeps ranks rising in iteration order. ``lower`` holds the same
+    one level down. The (k-1)-truss adjacency ``adj_km1`` is the level
+    below's k-truss adjacency, or ``g``'s own adjacency on the bottom level.
+    Evaluation never writes into these fields; :meth:`merge` carries both
+    levels across the merge a greedy round executes, reusing the last
+    complete evaluation when it was of the same pair.
     """
 
     g: Graph
     k: int
-    adj_km1: dict[NodeId, set[NodeId]]
-    tk_size: int
     tk_adj: dict[NodeId, set[NodeId]]
     sup_tk: dict[Edge, int]
     pos: dict[Edge, int]
     lower: TrussView | None = field(default=None, repr=False)
     # ((v1, v2), its _merged_truss result) of the last complete evaluation
     _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def adj_km1(self) -> dict[NodeId, set[NodeId]]:
+        """The (k-1)-truss adjacency: the level below's k-truss."""
+        return self.g.adj if self.lower is None else self.lower.tk_adj
+
+    @property
+    def tk_size(self) -> int:
+        """Edge count of the k-truss."""
+        return len(self.sup_tk)
 
     @property
     def nodes_km1(self) -> set[NodeId]:
@@ -268,11 +275,11 @@ class TrussView:
         sup = _supports(g.adj)
         first = _peel(adj, sup, k - 1)
         adj_km1 = {v: ns for v, ns in adj.items() if ns}
-        lower = cls(g, k - 1, g.adj, len(sup), adj_km1, dict(sup), {e: i for i, e in enumerate(first)})
+        lower = cls(g, k - 1, adj_km1, dict(sup), {e: i for i, e in enumerate(first)})
         tk_adj = {v: set(ns) for v, ns in adj_km1.items()}
         shell = _peel(tk_adj, sup, k)
         tk_adj = {v: ns for v, ns in tk_adj.items() if ns}
-        return cls(g, k, adj_km1, len(sup), tk_adj, sup, {e: i for i, e in enumerate(shell)}, lower)
+        return cls(g, k, tk_adj, sup, {e: i for i, e in enumerate(shell)}, lower)
 
     def truss_size_after_merge(self, v1: NodeId, v2: NodeId, floor: int | None = None) -> int:
         """|E(T_k)| of the graph with v2 merged into v1.
@@ -410,7 +417,7 @@ class TrussView:
         Returns the shell edges lifted into T', with their old ranks, and
         the edges the peel removed.
         """
-        size, (h_adj, h_sup, h_peeled, h_nodes) = result
+        _, (h_adj, h_sup, h_peeled, h_nodes) = result
         a, tk, st, pos = self.adj_km1, self.tk_adj, self.sup_tk, self.pos
         for x, ns in ((v1, tk.get(v1, ())), (v2, tk.pop(v2, ()))):
             for w in ns:
@@ -423,7 +430,6 @@ class TrussView:
                 tk[x] = h_adj[x]
             else:
                 tk.pop(x, None)
-        self.tk_size = size
         # pos': drop the shell edges that left it, then repair the order
         for e in chain((canon(v1, w) for w in ranks[0]), (canon(v2, w) for w in ranks[1]), gone):
             pos.pop(e, None)

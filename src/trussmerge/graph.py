@@ -31,13 +31,12 @@ class Graph:
     :func:`merge_all` to apply a whole plan.
     """
 
-    __slots__ = ("adj", "_labels", "_ids", "_m")
+    __slots__ = ("adj", "_labels", "_ids")
 
     def __init__(self) -> None:
         self.adj: dict[NodeId, set[NodeId]] = {}
         self._labels: dict[NodeId, str] = {}
         self._ids: dict[str, NodeId] = {}
-        self._m = 0
 
     # -- construction -------------------------------------------------
 
@@ -51,7 +50,7 @@ class Graph:
         so the result has no isolated nodes.
         """
         g = cls()
-        adj, ids, labels, m = g.adj, g._ids, g._labels, 0
+        adj, ids, labels = g.adj, g._ids, g._labels
         for lineno, raw in enumerate(lines, start=1):
             tokens = raw.split(None, 2)
             if not tokens or tokens[0][0] == "#":
@@ -67,12 +66,8 @@ class Graph:
             if (v := ids.get(b)) is None:
                 v = ids[b] = len(ids)
                 labels[v], adj[v] = b, set()
-            nu = adj[u]
-            if v not in nu:
-                nu.add(v)
-                adj[v].add(u)
-                m += 1
-        g._m = m
+            adj[u].add(v)
+            adj[v].add(u)
         return g
 
     @classmethod
@@ -102,17 +97,15 @@ class Graph:
         return nid
 
     def _add_edge(self, u: NodeId, v: NodeId) -> None:
-        if u != v and v not in self.adj[u]:
+        if u != v:
             self.adj[u].add(v)
             self.adj[v].add(u)
-            self._m += 1
 
     def copy(self) -> "Graph":
         g = Graph()
         g.adj = {v: set(nbrs) for v, nbrs in self.adj.items()}
         g._labels = dict(self._labels)
         g._ids = dict(self._ids)
-        g._m = self._m
         return g
 
     # -- queries ------------------------------------------------------
@@ -123,7 +116,8 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return self._m
+        """Half the sum of the degrees, in O(n)."""
+        return sum(map(len, self.adj.values())) // 2
 
     def nodes(self) -> list[NodeId]:
         return sorted(self.adj)
@@ -189,7 +183,6 @@ class Graph:
         if v1 not in adj or v2 not in adj:
             raise ValueError(f"merge endpoints ({v1}, {v2}) must both exist")
         nbrs2 = adj.pop(v2)
-        self._m -= len(nbrs2)
         label = self._labels.pop(v2, None)
         if label is not None:
             del self._ids[label]
@@ -199,10 +192,8 @@ class Graph:
             if w == v1:
                 continue
             adj[w].discard(v2)
-            if w not in a1:
-                a1.add(w)
-                adj[w].add(v1)
-                self._m += 1
+            a1.add(w)
+            adj[w].add(v1)
 
 
 @dataclass(frozen=True)

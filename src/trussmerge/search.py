@@ -215,7 +215,6 @@ def adaptive_search(g: Graph, cfg: RunConfig) -> MergerPlan:
 
 def run_method(g: Graph, cfg: RunConfig) -> MergerPlan:
     """Dispatch a run to the configured method's implementation."""
-    cfg.validate()
     if cfg.method in (Method.BM, Method.EQ, Method.II, Method.IO):
         return adaptive_search(g, cfg)
     from . import baselines

@@ -461,7 +461,9 @@ def test_allow_no_op_accepts_boolean_spellings(graph_a_file, tmp_path, text, val
     ["maximize", "GRAPH", "--k", "4", "--allow-no-op", "maybe"],
     ["decompose", "GRAPH", "--k", "3,x"],
     ["compare", "GRAPH", "--k", "3,x"],
-], ids=["allow-no-op", "decompose-k", "compare-k"])
+    ["robustness-study", "--model", "er", "--metric", "NC", "--op", "merge", "--budget", "3"],
+    ["robustness-study", "--model", "er", "--metric", "NC", "--op", "merge", "--stable-output"],
+], ids=["allow-no-op", "decompose-k", "compare-k", "robustness-budget", "robustness-stable-output"])
 def test_bad_flag_values_exit_two(graph_a_file, argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main([graph_a_file if a == "GRAPH" else a for a in argv])
