@@ -171,16 +171,11 @@ class ScoringContext:
         flat = np.fromiter(chain.from_iterable(sets), np.intp, sum(lens))
         return np.repeat(np.arange(len(sets)), lens), self.col[flat]
 
-    def rows(self, nodes, adj: dict[NodeId, set[NodeId]] | None = None,
-             cols: np.ndarray | None = None) -> np.ndarray:
-        """0/1 rows of adj[v] (default: inside neighbors; absent: empty) over all columns or ``cols``."""
+    def rows(self, nodes, adj: dict[NodeId, set[NodeId]] | None = None) -> np.ndarray:
+        """0/1 rows of adj[v] over the columns (default: inside neighbors; absent: empty)."""
         r, c = self._entries([self.partition.inside_neighbors[v] for v in nodes] if adj is None
                              else [adj.get(v, ()) for v in nodes])
-        if cols is not None:
-            at = np.full(len(self.order), -1)
-            at[cols] = np.arange(len(cols))
-            r, c = r[at[c] >= 0], at[c[at[c] >= 0]]
-        out = np.zeros((len(nodes), len(self.order) if cols is None else len(cols)), self.dtype)
+        out = np.zeros((len(nodes), len(self.order)), self.dtype)
         out[r, c] = 1
         return out
 
@@ -230,14 +225,14 @@ class ScoringContext:
         v1 is in N2), and (v1, w), w adjacent to u (a product per v1).
         """
         c, x, y = self.col[inside], self.rows(inside), self.rows(outside)
-        cy = np.flatnonzero(y.any(0))  # the columns of the N2
-        step, reach = max(1, BLOCK // max(1, len(cy))), np.zeros((len(inside), len(outside)), np.int64)
-        for a, v in enumerate(inside):
+        shs = [self.shell_neighbors(v) for v in inside]
+        step, reach = max(1, BLOCK // max(1, len(self.order))), np.zeros((len(inside), len(outside)), np.int64)
+        for a, sh in enumerate(shs):
             # |N(w) & (N2 - N1)| per shell neighbor w of v1; A[w, v1] = 1 counts v1 in N2 once
-            u, sh = (y[:, cy] * (1 - x[a, cy])).T, self.shell_neighbors(v)
+            u = (y * (1 - x[a])).T
             for lo in range(0, len(sh), step):
-                reach[a] += (self.rows(sh[lo:lo + step], cols=cy) @ u > y[:, c[a]]).sum(0)
-        deg = np.array([len(self.shell_neighbors(v)) for v in inside], np.int64).reshape(-1, 1)
+                reach[a] += (self.rows(sh[lo:lo + step]) @ u > y[:, c[a]]).sum(0)
+        deg = np.array([len(sh) for sh in shs], np.int64).reshape(-1, 1)
         helped = _cross(x, y, *self.shell_edges) - np.diagonal(_cross(y, y, *self.shell_edges))
         return helped - _int(y[:, c].T) * deg + reach, self.z_sizes(inside, outside)
 

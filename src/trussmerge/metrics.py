@@ -327,18 +327,19 @@ class StudyTrace:
 
 
 def _edited(a: np.ndarray, op: str, i: int, j: int) -> np.ndarray:
-    """The matrix after merging j into i, or after adding edge (i, j); i < j.
+    """The matrix after merging j into i, or after adding edge (i, j).
 
     A merge ORs row and column j into i, clears the diagonal and drops
-    j: exactly the sorted-id matrix of ``Graph.merge`` on those nodes.
-    An addition sets a[i, j] = a[j, i] = 1.
+    j, so i moves to i - 1 if it was above j: exactly the sorted-id
+    matrix of ``Graph.merge`` on those nodes. An addition sets
+    a[i, j] = a[j, i] = 1.
     """
     if op == "merge":
-        keep = np.r_[0:j, j + 1:len(a)]
-        b = a[keep][:, keep]
-        row = np.maximum(b[i], a[j, keep])
-        row[i] = 0.0
-        b[i] = b[:, i] = row
+        keep, s = np.r_[0:j, j + 1:len(a)], i - (i > j)
+        b = a[np.ix_(keep, keep)]  # C order: a study matrix in F order read a higher peak RSS
+        row = np.maximum(b[s], a[j, keep])
+        row[s] = 0.0
+        b[s] = b[:, s] = row
     else:
         b = a.copy()
         b[i, j] = b[j, i] = 1.0
@@ -524,19 +525,17 @@ def greedy_improve(g: Graph, metric: MetricId | str, op: str, rounds: int,
     metric = MetricId(metric)
     if op not in ("merge", "add_edge"):
         raise ValueError(f"op must be 'merge' or 'add_edge', not {op!r}")
-    work = g.copy()
-    rows = [TraceRow("baseline", compute_metrics(work, record))]
+    a, labels = _adjacency_matrix(g), [g.label(v) for v in g.nodes()]
+    rows = [TraceRow("baseline", _measures(a, record))]
     for _ in range(rounds):
-        best = best_candidate(_adjacency_matrix(work), metric, op)
+        best = best_candidate(a, metric, op)
         if best is None:
             break
-        u, v = (work.nodes()[x] for x in best[:2])
-        label = f"{op}({work.label(u)},{work.label(v)})"
+        i, j = best[:2]
+        label, a = f"{op}({labels[i]},{labels[j]})", _edited(a, op, i, j)
         if op == "merge":
-            work._merge_inplace(u, v)
-        else:
-            work._add_edge(u, v)
-        rows.append(TraceRow(label, compute_metrics(work, record)))
+            del labels[j]
+        rows.append(TraceRow(label, _measures(a, record)))
     return StudyTrace(tuple(rows))
 
 
@@ -556,17 +555,17 @@ def correlation_study(g: Graph, k: int, rounds: int, *,
         plan = MergerPlan(k=k, initial_size=objective(g, k).size)
     else:
         plan = adaptive_search(g, RunConfig(k=k, b=rounds, n_i=n_i, n_o=n_o, n_c=n_c, seed=seed))
-    work = g.copy()
+    a, ids = _adjacency_matrix(g), g.nodes()
 
     def row(label: str, size: int) -> TraceRow:
-        srcs = _sample_rows(work.node_count, betweenness_sources, seed)
-        return TraceRow(label, _measures(_adjacency_matrix(work), CORE_METRICS, srcs), size)
+        srcs = _sample_rows(len(a), betweenness_sources, seed)
+        return TraceRow(label, _measures(a, CORE_METRICS, srcs), size)
 
     rows = [row("baseline", plan.initial_size)]
     for step in plan.steps:
-        label = f"merge({work.label(step.v1)},{work.label(step.v2)})"
-        work._merge_inplace(step.v1, step.v2)
-        rows.append(row(label, step.size_after))
+        a = _edited(a, "merge", ids.index(step.v1), ids.index(step.v2))
+        ids.remove(step.v2)
+        rows.append(row(f"merge({g.label(step.v1)},{g.label(step.v2)})", step.size_after))
     sizes = [float(r.truss_size) for r in rows]
     pearson: dict[str, float | None] = {}
     for m in CORE_METRICS:

@@ -423,6 +423,8 @@ def test_bad_domain_values(graph_a_file, capsys):
     assert capsys.readouterr().err.startswith("error: DOMAIN")
     assert main(["maximize", graph_a_file, "--k", "2"]) == 1
     assert capsys.readouterr().err.startswith("error: DOMAIN")
+    assert main(["fixtures", "coverage", "--sets", ";"]) == 1
+    assert capsys.readouterr().err.startswith("error: DOMAIN")
 
 
 @pytest.mark.parametrize("argv", [

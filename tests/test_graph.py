@@ -75,8 +75,8 @@ def test_one_pass_parser_matches_the_two_pass_one():
 
 
 def test_from_edges_keeps_requested_isolated_nodes():
-    g = Graph.from_edges([(0, 1)], nodes=range(4))
-    assert g.node_count == 4
+    g = Graph.from_edges([(0, 1), (5, 5)], nodes=range(4))  # the self-loop pair is dropped
+    assert (g.node_count, g.edge_count) == (4, 1)
     assert g.degree(g.node_of("3")) == 0
 
 
@@ -89,6 +89,8 @@ def test_accessors():
     assert g.neighbors(g.node_of("4")) == {g.node_of("3")}
     with pytest.raises(ValueError):
         g.neighbors(999)
+    with pytest.raises(ValueError):
+        g.label(999)
     with pytest.raises(ValueError):
         g.support(a, g.node_of("4"))
 

@@ -130,12 +130,14 @@ def _edited_graph(g: Graph, op: str, u: int, v: int) -> Graph:
 def test_candidate_matrices_match_graph_edits(op, n, p, seed):
     g = gen_er(n, p, seed)
     nodes = g.nodes()
-    seen = []
-    for i, j, b in candidate_matrices(_adjacency_matrix(g), op):
+    seen, a = [], _adjacency_matrix(g)
+    for i, j, b in candidate_matrices(a, op):
         u, v = nodes[i], nodes[j]
         seen.append((u, v))
         h = _edited_graph(g, op, u, v)
         assert np.array_equal(b, _adjacency_matrix(h))
+        if op == "merge":  # the survivor indexed above the removed node
+            assert np.array_equal(metrics._edited(a, "merge", j, i), _adjacency_matrix(g.merge(v, u)))
         for m in MetricId:
             try:
                 want = METRIC_FUNCS[m](h)
@@ -354,6 +356,7 @@ def test_degenerate_graphs():
     assert average_distance(single) == 0.0
     assert transitivity(single) == 0.0
     assert avg_local_clustering(single) == 0.0
+    assert natural_connectivity(Graph()) == 0.0
 
 
 def test_pearson_edge_cases():
