@@ -45,6 +45,7 @@ METRIC_DIRECTION: dict[MetricId, int] = {
 }
 
 CORE_METRICS = (MetricId.VB, MetricId.EB, MetricId.ER, MetricId.SG, MetricId.NC)
+_DISTANCE_METRICS = (MetricId.VB, MetricId.EB, MetricId.AD)
 
 
 def _sample_rows(n: int, sources: int | None, seed: int) -> list[int] | None:
@@ -86,31 +87,36 @@ def _distances(a: np.ndarray, rows: Sequence[int] | None = None) -> np.ndarray:
     return d
 
 
-def _reached(d: np.ndarray, axis=None) -> tuple[np.ndarray, np.ndarray]:
-    """(sum, count) of the finite entries of distance arrays over ``axis``."""
-    near = d < d.shape[-1]
-    return np.where(near, d, 0).sum(axis=axis, dtype=np.int64), near.sum(axis=axis, dtype=np.int64)
+def _reached(d: np.ndarray, axis=None, holes: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """(sum, count) of the finite entries of distance arrays over ``axis``.
+
+    One integer sum; the unreachable entries (value n, the largest) are counted only if ``holes``."""
+    n, total = d.shape[-1], d.sum(axis=axis, dtype=np.int64)
+    far = (d == n).sum(axis=axis, dtype=np.int64) if holes else 0
+    return total - n * far, d.size // max(np.size(total), 1) - far
 
 
-def _from_sums(metric: MetricId, total: int, pairs: int, n: int, m: int) -> float:
+def _from_sums(metric: MetricId, total, pairs, n, m):
     """VB, EB or AD from the distance sum and count over reachable ordered pairs.
 
     A shortest s-t path has d - 1 inner nodes and d edges, so the
     dependencies of source s sum to sum_t (d(s, t) - 1) over nodes and
     sum_t d(s, t) over edges; halved, as each pair is seen from both ends.
+    Scalars or arrays alike; a zero denominator (over a zero sum) gives 0.
     """
     if metric is MetricId.VB:
-        return (total - pairs) / 2.0 / n if n else 0.0
-    if metric is MetricId.EB:
-        return total / 2.0 / m if m else 0.0
-    return total / pairs if pairs else 0.0
+        total, den = total - pairs, 2.0 * n
+    else:
+        den = 2.0 * m if metric is MetricId.EB else pairs
+    return total / (den + (den == 0))
 
 
-def _betweenness(a: np.ndarray, rows: Sequence[int] | None = None) -> tuple[float, float]:
+def _distance_measures(a: np.ndarray, rows: Sequence[int] | None = None) -> dict[MetricId, float]:
+    """VB and EB over the source rows, and AD when every row is a source, from one BFS."""
     d = _distances(a, rows)
     total, found = (int(x) for x in _reached(d))
     n, m, pairs = len(a), int(a.sum()) // 2, found - len(d)
-    return (_from_sums(MetricId.VB, total, pairs, n, m), _from_sums(MetricId.EB, total, pairs, n, m))
+    return {mid: _from_sums(mid, total, pairs, n, m) for mid in _DISTANCE_METRICS[:3 if rows is None else 2]}
 
 
 def betweenness_profile(g: Graph, sources: Sequence[NodeId] | None = None) -> tuple[float, float]:
@@ -121,17 +127,18 @@ def betweenness_profile(g: Graph, sources: Sequence[NodeId] | None = None) -> tu
     only ever consume the averages.
     """
     pos = {v: i for i, v in enumerate(g.nodes())}
-    return _betweenness(_adjacency_matrix(g), None if sources is None else [pos[v] for v in sources])
+    out = _distance_measures(_adjacency_matrix(g), None if sources is None else [pos[v] for v in sources])
+    return out[MetricId.VB], out[MetricId.EB]
 
 
 def avg_vertex_betweenness(g: Graph, *, sources: int | None = None, seed: int = 0) -> float:
     """Mean exact betweenness over nodes; optionally subsample sources."""
-    return _betweenness(_adjacency_matrix(g), _sample_rows(g.node_count, sources, seed))[0]
+    return _distance_measures(_adjacency_matrix(g), _sample_rows(g.node_count, sources, seed))[MetricId.VB]
 
 
 def avg_edge_betweenness(g: Graph, *, sources: int | None = None, seed: int = 0) -> float:
     """Mean exact betweenness over edges; optionally subsample sources."""
-    return _betweenness(_adjacency_matrix(g), _sample_rows(g.node_count, sources, seed))[1]
+    return _distance_measures(_adjacency_matrix(g), _sample_rows(g.node_count, sources, seed))[MetricId.EB]
 
 
 def _connected(a: np.ndarray) -> bool:
@@ -177,14 +184,9 @@ def natural_connectivity(g: Graph) -> float:
     return _natural(np.linalg.eigvalsh(_adjacency_matrix(g)))
 
 
-def _average_distance(a: np.ndarray) -> float:
-    total, found = (int(x) for x in _reached(_distances(a)))
-    return _from_sums(MetricId.AD, total, found - len(a), len(a), 0)
-
-
 def average_distance(g: Graph) -> float:
     """Mean shortest-path length over reachable pairs within components."""
-    return _average_distance(_adjacency_matrix(g))
+    return _distance_measures(_adjacency_matrix(g))[MetricId.AD]
 
 
 def _transitivity(a: np.ndarray) -> float:
@@ -223,12 +225,12 @@ METRIC_FUNCS: dict[MetricId, Callable[[Graph], float]] = {
 
 # the same measures on a sorted-id adjacency matrix
 MATRIX_FUNCS: dict[MetricId, Callable[[np.ndarray], float]] = {
-    MetricId.VB: lambda a: _betweenness(a)[0],
-    MetricId.EB: lambda a: _betweenness(a)[1],
+    MetricId.VB: lambda a: _distance_measures(a)[MetricId.VB],
+    MetricId.EB: lambda a: _distance_measures(a)[MetricId.EB],
     MetricId.ER: _effective_resistance,
     MetricId.SG: lambda a: _gap(np.linalg.eigvalsh(a)),
     MetricId.NC: lambda a: _natural(np.linalg.eigvalsh(a)),
-    MetricId.AD: _average_distance,
+    MetricId.AD: lambda a: _distance_measures(a)[MetricId.AD],
     MetricId.TS: _transitivity,
     MetricId.LC: _local_clustering,
 }
@@ -240,11 +242,11 @@ def evaluate_metric(g: Graph, metric: MetricId | str) -> float:
 
 def _measures(a: np.ndarray, metrics: Iterable[MetricId],
               rows: Sequence[int] | None = None) -> dict[str, float | None]:
-    """Measures of one matrix; VB/EB share a BFS and SG/NC a spectrum."""
+    """Measures of one matrix; VB/EB/AD share one BFS (sampled ``rows`` serve VB/EB only) and SG/NC a spectrum."""
     metrics = [MetricId(m) for m in metrics]
     shared: dict[MetricId, float] = {}
-    if {MetricId.VB, MetricId.EB} & set(metrics):
-        shared[MetricId.VB], shared[MetricId.EB] = _betweenness(a, rows)
+    if set(_DISTANCE_METRICS) & set(metrics):
+        shared.update(_distance_measures(a, rows))
     if {MetricId.SG, MetricId.NC} & set(metrics):
         lam = np.linalg.eigvalsh(a)
         shared[MetricId.SG], shared[MetricId.NC] = _gap(lam), _natural(lam)
@@ -355,82 +357,97 @@ def candidate_matrices(a: np.ndarray, op: str) -> Iterator[tuple[int, int, np.nd
 
 # distance entries scored per batch of closed-form candidates
 _BATCH = 1 << 16
+# bisection steps of the SG bound: a coarse pass over every edit, then the
+# full count for the edits whose coarse bound reaches the incumbent
+_COARSE_STEPS, _STEPS = 4, 16
 
 
-def _distance_scores(a: np.ndarray, metric: MetricId, op: str) -> Iterator[tuple[int, int, float]]:
-    """VB, EB or AD of every candidate edit from one all-pairs distance matrix.
+def _pool(a: np.ndarray, op: str) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) arrays of every merge pair or absent edge, in ``combinations`` order."""
+    ii, jj = np.triu_indices(len(a), 1)
+    keep = (a[ii, jj] == 0) | (op == "merge")
+    return ii[keep], jj[keep]
+
+
+def _distance_scores(a: np.ndarray, metric: MetricId, op: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, VB, EB or AD) arrays of every candidate edit from one all-pairs distance matrix.
 
     Adding (i, j) gives d'(s, t) = min(d(s, t), d(s, i) + 1 + d(j, t),
     d(s, j) + 1 + d(i, t)). Merging j into i gives d'(s, t) =
     min(d(s, t), r_s + r_t) with r = min(d(., i), d(., j)), on n - 1
     nodes and m - |N(i) & N(j)| - [i ~ j] edges. Sums stay integers, so
     every value equals the one ``MATRIX_FUNCS`` gives on the edited matrix.
+    An edit never disconnects a pair, so each block's unreachable entries
+    are counted only when d has some.
     """
     n, m = len(a), int(a.sum()) // 2
     d = _distances(a)
-    pairs_i, pairs_j = np.triu_indices(n, 1)
-    if op != "merge":
-        absent = a[pairs_i, pairs_j] == 0
-        pairs_i, pairs_j = pairs_i[absent], pairs_j[absent]
+    holes = bool((d == n).any())
+    pairs_i, pairs_j = _pool(a, op)
     common = (a @ a).astype(np.int64)
     step = max(1, _BATCH // max(n * n, 1))
+    values = [np.empty(0)]
     for lo in range(0, len(pairs_i), step):
         ii, jj = pairs_i[lo:lo + step], pairs_j[lo:lo + step]
         if op == "merge":
             r = np.minimum(d[ii], d[jj])
-            total, found = _reached(np.minimum(d, r[:, :, None] + r[:, None, :]), (1, 2))
+            block = r[:, :, None] + r[:, None, :]
+            total, found = _reached(np.minimum(block, d, out=block), (1, 2), holes)
             # row and column j repeat r (d'(j, t) = r_t): drop them
-            r_total, r_found = _reached(r, 1)
+            r_total, r_found = _reached(r, 1, holes)
             total, pairs = total - 2 * r_total, found - 2 * r_found - n + 2
             nodes, edges = n - 1, m - common[ii, jj] - a[ii, jj].astype(np.int64)
         else:
-            via = d[ii][:, :, None] + 1 + d[jj][:, None, :]
-            total, found = _reached(np.minimum(d, np.minimum(via, via.transpose(0, 2, 1))), (1, 2))
-            pairs, nodes, edges = found - n, n, np.full(len(jj), m + 1)
-        for i, j, t, p, e in zip(ii.tolist(), jj.tolist(), total.tolist(), pairs.tolist(), edges.tolist()):
-            yield i, j, _from_sums(metric, t, p, nodes, e)
+            via = (d[ii] + 1)[:, :, None] + d[jj][:, None, :]
+            block = np.minimum(via, via.transpose(0, 2, 1))
+            total, found = _reached(np.minimum(block, d, out=block), (1, 2), holes)
+            pairs, nodes, edges = found - n, n, m + 1
+        values.append(_from_sums(metric, total, pairs, nodes, edges))
+    return pairs_i, pairs_j, np.concatenate(values)
 
 
-def _resistance_additions(a: np.ndarray) -> Iterator[tuple[int, int, float]]:
-    """Kirchhoff index after each absent edge of a connected graph.
+def _resistance_additions(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, Kirchhoff index) arrays after each absent edge of a connected graph.
 
     With X = L+ and b = e_i - e_j, Sherman-Morrison gives
     Kf' = n (tr X - b'X^2 b / (1 + b'X b)) (Ghosh, Boyd & Saberi 2008).
     """
-    n = len(a)
+    n, (ii, jj) = len(a), _pool(a, "add_edge")
     x = np.linalg.inv(np.diag(a.sum(axis=1)) - a + 1.0 / n) - 1.0 / n
-    x2 = x @ x
+    bxb, bx2b = (y[ii, ii] + y[jj, jj] - 2 * y[ii, jj] for y in (x, x @ x))
+    return ii, jj, n * (np.trace(x) - bx2b / (1.0 + bxb))
 
-    def quad(y: np.ndarray) -> np.ndarray:
-        return np.diag(y)[:, None] + np.diag(y)[None, :] - 2 * y
 
-    kf = n * (np.trace(x) - quad(x2) / (1.0 + quad(x)))
-    for i, j in combinations(range(n), 2):
-        if not a[i, j]:
-            yield i, j, float(kf[i, j])
+def _closed_form(a: np.ndarray, metric: MetricId, op: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(i, j, value) arrays of every edit when the measure has a closed form for it, else None."""
+    if metric in _DISTANCE_METRICS:
+        return _distance_scores(a, metric, op)
+    if metric is MetricId.ER and op == "add_edge" and len(a) > 1 and _connected(a):
+        return _resistance_additions(a)
+    return None
 
 
 def candidate_scores(a: np.ndarray, metric: MetricId | str, op: str) -> Iterator[tuple[int, int, float]]:
     """(i, j, measure) for each ``candidate_matrices`` edit on which it is defined.
 
     Same order as ``candidate_matrices``. VB/EB/AD, and ER additions to
-    a connected graph, are scored in closed form from one per-call
+    a connected graph, are the closed forms' arrays from one per-call
     matrix; the rest score each edited matrix with ``MATRIX_FUNCS``.
     """
     metric = MetricId(metric)
-    if metric in (MetricId.VB, MetricId.EB, MetricId.AD):
-        yield from _distance_scores(a, metric, op)
-    elif metric is MetricId.ER and op == "add_edge" and len(a) > 1 and _connected(a):
-        yield from _resistance_additions(a)
-    else:
-        for i, j, b in candidate_matrices(a, op):
-            try:
-                yield i, j, MATRIX_FUNCS[metric](b)
-            except ValueError:
-                continue
+    scored = _closed_form(a, metric, op)
+    if scored is not None:
+        yield from zip(*(x.tolist() for x in scored))
+        return
+    for i, j, b in candidate_matrices(a, op):
+        try:
+            yield i, j, MATRIX_FUNCS[metric](b)
+        except ValueError:
+            continue
 
 
-def _spectral_bounds(a: np.ndarray, metric: MetricId, op: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _spectral_bounds(a: np.ndarray, metric: MetricId, op: str, steps: int = _STEPS,
+                     keep: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(i, j, upper bound on the measure) for every NC or SG edit, from one eigh of a.
 
     Write the edit as M = A + s (e_i y' + y e_i') with unit y: y = e_j and
@@ -442,19 +459,18 @@ def _spectral_bounds(a: np.ndarray, metric: MetricId, op: str) -> tuple[np.ndarr
     NC with the mean over n nodes, or n - 1 after a merge. For SG,
     lambda1 is at most lambda1(M), the top root of
     s (P_iy + sqrt(P_ii P_yy)) = 1, P = [e_i y]' (lambda - A)^-1 [e_i y],
-    bisected from above. lambda2 is at least the second Ritz value on the
-    old top-three eigenvectors (row j zeroed for a merge, so their Gram
-    matrix I - qq' is whitened by I + qq' / (g (1 + g)), g^2 = 1 - q'q),
-    and at least lambda3(A) after an addition or lambda4(A) after a merge.
+    bisected from above in ``steps`` batched products. lambda2 is at least
+    the second Ritz value on the old top-three eigenvectors (row j zeroed
+    for a merge, so their Gram matrix I - qq' is whitened by
+    I + qq' / (g (1 + g)), g^2 = 1 - q'q), and at least lambda3(A) after an
+    addition or lambda4(A) after a merge. ``keep`` indexes a subset of the edits.
     """
     n = len(a)
     w, v = np.linalg.eigh(a)
-    ii, jj = np.triu_indices(n, 1)
-    if op != "merge":
-        ii, jj = ii[a[ii, jj] == 0], jj[a[ii, jj] == 0]
+    ii, jj = (x if keep is None else x[keep] for x in _pool(a, op))
     ex = np.exp(w - w[-1])  # F's spectrum, scaled by e^-lambda1
     floor = w[-3] if op != "merge" else (w[-4] if n >= 4 else -np.inf)
-    ub, step = [np.empty(0)], max(1, _BATCH // (16 * n))  # blocks keep the (C, n) temporaries small
+    ub, step = [np.empty(0)], max(1, _BATCH // (8 * n))  # blocks keep the (C, 3, n) terms small
     for i, j in ((ii[k:k + step], jj[k:k + step]) for k in range(0, len(ii), step)):
         vi, q = v[i], np.zeros((len(i), 3))
         if op == "merge":
@@ -472,9 +488,9 @@ def _spectral_bounds(a: np.ndarray, metric: MetricId, op: str) -> tuple[np.ndarr
             continue
         lo, hi = np.full(len(i), w[-1]), w[-1] + s
         with np.errstate(invalid="ignore", divide="ignore"):
-            for _ in range(16):  # hi stays above the root, within s / 2^16
+            for _ in range(steps):  # hi stays above the root, within s / 2^steps
                 mid = (lo + hi) / 2
-                pii, pyy, piy = (terms / (mid[:, None, None] - w)).sum(axis=2).T
+                pii, pyy, piy = (terms @ (1.0 / (mid[:, None] - w))[:, :, None]).T[0]
                 above = s * (piy + np.sqrt(pii * pyy)) > 1.0
                 lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
         g2 = 1.0 - (q * q).sum(axis=1)
@@ -490,26 +506,39 @@ def _spectral_bounds(a: np.ndarray, metric: MetricId, op: str) -> tuple[np.ndarr
 def best_candidate(a: np.ndarray, metric: MetricId | str, op: str) -> tuple[int, int, float] | None:
     """The best ``candidate_scores`` edit as (i, j, value); ties to the first pair, None if none.
 
-    SG and NC edits are scored exactly (``MATRIX_FUNCS`` on the
-    edited matrix) in descending order of ``_spectral_bounds`` until the
-    next bound falls below the best value found, so the choice is the
-    exhaustive one. A non-finite bound always gets scored.
+    A closed form's arrays give the first best by ``argmax``. SG and NC
+    edits are scored exactly (``MATRIX_FUNCS`` on the edited matrix),
+    the top bound's first, then in descending order of ``_spectral_bounds``
+    until the next bound falls below the best value found, so the choice
+    is the exhaustive one. SG bounds take ``_COARSE_STEPS`` bisection
+    steps, and ``_STEPS`` where that reaches the first value. A
+    non-finite bound always gets scored.
     """
     metric = MetricId(metric)
+    sign, scored = METRIC_DIRECTION[metric], _closed_form(a, metric, op)
+    if scored is not None:
+        x = np.argmax(sign * scored[2]) if len(scored[2]) else None
+        return None if x is None else (int(scored[0][x]), int(scored[1][x]), float(scored[2][x]))
     if len(a) < 3 or metric not in (MetricId.SG, MetricId.NC):
-        sign = METRIC_DIRECTION[metric]
         return max(candidate_scores(a, metric, op), key=lambda c: sign * c[2], default=None)
-    ii, jj, ub = _spectral_bounds(a, metric, op)
+    ii, jj, ub = _spectral_bounds(a, metric, op, _COARSE_STEPS)
+    if not len(ub):
+        return None
     ub = np.where(np.isfinite(ub), ub, np.inf)
-    best = val = None
+    first = best = int(np.argmax(ub))
+    val = top = MATRIX_FUNCS[metric](_edited(a, op, int(ii[first]), int(jj[first])))
+    # the slack covers rounding in the eigendecomposition and the exact spectra
+    if metric is MetricId.SG:
+        near = np.flatnonzero(ub >= val - 1e-7 * (1.0 + abs(val)))
+        fine = _spectral_bounds(a, metric, op, _STEPS, near)[2]
+        ub[near] = np.where(np.isfinite(fine), fine, np.inf)
     for x in np.argsort(-ub, kind="stable").tolist():
-        # the slack covers rounding in the eigendecomposition and the exact spectra
-        if best is not None and ub[x] < val - 1e-7 * (1.0 + abs(val)):
+        if ub[x] < val - 1e-7 * (1.0 + abs(val)):
             break
-        y = MATRIX_FUNCS[metric](_edited(a, op, int(ii[x]), int(jj[x])))
-        if best is None or y > val or (y == val and x < best):
+        y = top if x == first else MATRIX_FUNCS[metric](_edited(a, op, int(ii[x]), int(jj[x])))
+        if y > val or (y == val and x < best):
             best, val = x, y
-    return None if best is None else (int(ii[best]), int(jj[best]), val)
+    return int(ii[best]), int(jj[best]), val
 
 
 def greedy_improve(g: Graph, metric: MetricId | str, op: str, rounds: int,

@@ -216,19 +216,23 @@ BOUNDED = [(MetricId.SG, "merge"), (MetricId.SG, "add_edge"), (MetricId.NC, "add
 def _spectral_cases() -> list[Graph]:
     """``_scoring_cases`` plus larger, disconnected and repeated-eigenvalue graphs."""
     two_k4 = [(u + s, v + s) for s in (0, 4) for u, v in combinations(range(4), 2)]
-    return _scoring_cases() + [gen_er(50, 0.1, 1), gen_er(30, 0.04, 2), gen_ws(30, 4, 0.2, 3),
+    # ER(50, 0.1) seeds 100 and 103 give SG merge rounds with 37 and 103 exact scorings
+    return _scoring_cases() + [gen_er(50, 0.1, 1), gen_er(50, 0.1, 100), gen_er(50, 0.1, 103),
+                               gen_er(30, 0.04, 2), gen_ws(30, 4, 0.2, 3),
                                gen_hk(40, 2, 0.5, 4), Graph.from_edges(two_k4),
                                Graph.from_edges([(i, (i + 1) % 5) for i in range(5)] +
                                                 [(i + 5, (i + 1) % 5 + 5) for i in range(5)])]
 
 
-@pytest.mark.parametrize("metric, op", BOUNDED)
-def test_spectral_bounds_hold_for_every_candidate(metric, op):
+@pytest.mark.parametrize("metric, op, steps", [
+    pytest.param(metric, op, steps, id=f"{metric.value}-{op}{suffix}") for metric, op in BOUNDED
+    for steps, suffix in ((metrics._STEPS, ""), (metrics._COARSE_STEPS, "-coarse"))])
+def test_spectral_bounds_hold_for_every_candidate(metric, op, steps):
     for g in _spectral_cases():
         a = _adjacency_matrix(g)
         if len(a) < 3:
             continue  # best_candidate scans these directly
-        ii, jj, ub = _spectral_bounds(a, metric, op)
+        ii, jj, ub = _spectral_bounds(a, metric, op, steps)
         exact = list(candidate_scores(a, metric, op))
         assert list(zip(ii.tolist(), jj.tolist())) == [(i, j) for i, j, _ in exact]
         for (_, _, val), bound in zip(exact, ub.tolist()):
@@ -267,8 +271,8 @@ def test_non_finite_bounds_are_scored(monkeypatch, metric, op, bad):
     a = _adjacency_matrix(gen_er(20, 0.2, 7))
     want = max(candidate_scores(a, metric, op), key=lambda c: c[2])
 
-    def spoiled(a, metric, op):
-        ii, jj, ub = _spectral_bounds(a, metric, op)
+    def spoiled(a, metric, op, steps, keep=None):
+        ii, jj, ub = _spectral_bounds(a, metric, op, steps, keep)
         ub = ub.copy()
         ub[(ii == want[0]) & (jj == want[1])] = bad
         ub[::5] = -np.inf
