@@ -88,9 +88,8 @@ def _distances(a: np.ndarray, rows: Sequence[int] | None = None) -> np.ndarray:
 
 
 def _reached(d: np.ndarray, axis=None, holes: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """(sum, count) of the finite entries of distance arrays over ``axis``.
-
-    One integer sum; the unreachable entries (value n, the largest) are counted only if ``holes``."""
+    """(sum, count) of the finite entries of distance arrays over ``axis``, from one integer sum;
+    the unreachable entries (value n, the largest) are counted only if ``holes``."""
     n, total = d.shape[-1], d.sum(axis=axis, dtype=np.int64)
     far = (d == n).sum(axis=axis, dtype=np.int64) if holes else 0
     return total - n * far, d.size // max(np.size(total), 1) - far
@@ -357,8 +356,7 @@ def candidate_matrices(a: np.ndarray, op: str) -> Iterator[tuple[int, int, np.nd
 
 # distance entries scored per batch of closed-form candidates
 _BATCH = 1 << 16
-# bisection steps of the SG bound: a coarse pass over every edit, then the
-# full count for the edits whose coarse bound reaches the incumbent
+# SG bisection steps: coarse for every edit, full where the coarse bound reaches the incumbent
 _COARSE_STEPS, _STEPS = 4, 16
 
 
@@ -456,21 +454,24 @@ def _spectral_bounds(a: np.ndarray, metric: MetricId, op: str, steps: int = _STE
     column j, so its eigenvalues interlace M's. With F = e^A,
     Golden-Thompson bounds tr e^M by tr(F e^P), P = M - A, and e^P = I +
     (cosh s - 1)(e_i e_i' + y y') + sinh s (e_i y' + y e_i'), which bounds
-    NC with the mean over n nodes, or n - 1 after a merge. For SG,
-    lambda1 is at most lambda1(M), the top root of
-    s (P_iy + sqrt(P_ii P_yy)) = 1, P = [e_i y]' (lambda - A)^-1 [e_i y],
-    bisected from above in ``steps`` batched products. lambda2 is at least
-    the second Ritz value on the old top-three eigenvectors (row j zeroed
-    for a merge, so their Gram matrix I - qq' is whitened by
-    I + qq' / (g (1 + g)), g^2 = 1 - q'q), and at least lambda3(A) after an
-    addition or lambda4(A) after a merge. ``keep`` indexes a subset of the edits.
+    NC with the mean over n nodes, or n - 1 after a merge. For SG, the edit
+    (row and column j zeroed after a merge) is N + s (e_i y' + y e_i'), N = A
+    for an addition and A + W T W', W = [e_j a_j], T = -[[0, 1], [1, 0]] for
+    a merge. Above lambda1(A) >= lambda1(N), lambda tops its lambda1 iff
+    s (P_iy + sqrt(P_ii P_yy)) < 1, P = [e_i y]' (lambda - N)^-1 [e_i y], which
+    Woodbury gives from (lambda - A)^-1; ``steps`` bisection steps keep hi
+    above max(lambda1, lambda1(A)). lambda2 is at least the second Ritz value
+    on the old top-three eigenvectors (row j zeroed for a merge, so their Gram
+    matrix I - qq' is whitened by I + qq' / (g (1 + g)), g^2 = 1 - q'q), and at
+    least lambda3(A) after an addition or lambda4(A) after a merge. ``keep``
+    indexes a subset of the edits.
     """
     n = len(a)
     w, v = np.linalg.eigh(a)
     ii, jj = (x if keep is None else x[keep] for x in _pool(a, op))
     ex = np.exp(w - w[-1])  # F's spectrum, scaled by e^-lambda1
     floor = w[-3] if op != "merge" else (w[-4] if n >= 4 else -np.inf)
-    ub, step = [np.empty(0)], max(1, _BATCH // (8 * n))  # blocks keep the (C, 3, n) terms small
+    ub, step = [np.empty(0)], max(1, _BATCH // (8 * n))  # blocks keep the (C, 4, n) products small
     for i, j in ((ii[k:k + step], jj[k:k + step]) for k in range(0, len(ii), step)):
         vi, q = v[i], np.zeros((len(i), 3))
         if op == "merge":
@@ -480,18 +481,24 @@ def _spectral_bounds(a: np.ndarray, metric: MetricId, op: str, steps: int = _STE
         else:
             dv, s = v[j], np.ones(len(i))
         vy = dv / np.maximum(s, 1.0)[:, None]
-        terms = np.stack([vi * vi, vy * vy, vi * vy], axis=1)
         if metric is MetricId.NC:
-            fii, fyy, fiy = (terms @ ex).T
+            fii, fyy, fiy = (np.stack([vi * vi, vy * vy, vi * vy], axis=1) @ ex).T
             tr = ex.sum() + (np.cosh(s) - 1.0) * (fii + fyy) + 2.0 * np.sinh(s) * fiy
             ub.append(w[-1] + np.log(tr / (n - (op == "merge"))))
             continue
+        z = np.stack([vi, vy, v[j], v[j] * w][:2 + 2 * (op == "merge")], axis=1)  # a_j' V = v_j w
         lo, hi = np.full(len(i), w[-1]), w[-1] + s
         with np.errstate(invalid="ignore", divide="ignore"):
             for _ in range(steps):  # hi stays above the root, within s / 2^steps
                 mid = (lo + hi) / 2
-                pii, pyy, piy = (terms @ (1.0 / (mid[:, None] - w))[:, :, None]).T[0]
-                above = s * (piy + np.sqrt(pii * pyy)) > 1.0
+                r = (z / (mid[:, None] - w)[:, None, :]) @ z.transpose(0, 2, 1)  # [e_i y e_j a_j]' R [...]
+                p = r[:, :2, :2]
+                if op == "merge":  # a 2 x 2 K = T - W'RW has inverse (tr(K) I - K) / det(K)
+                    k = -np.array([[0.0, 1.0], [1.0, 0.0]]) - r[:, 2:, 2:]
+                    tr, det = k[:, 0, 0] + k[:, 1, 1], k[:, 0, 0] * k[:, 1, 1] - k[:, 0, 1] ** 2
+                    p = p + r[:, :2, 2:] @ ((tr[:, None, None] * np.eye(2) - k) / det[:, None, None]) @ r[:, 2:, :2]
+                # rounding can leave a NaN; counting it as below the root keeps hi above it
+                above = ~(s * (p[:, 0, 1] + np.sqrt(p[:, 0, 0] * p[:, 1, 1])) <= 1.0)
                 lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
         g2 = 1.0 - (q * q).sum(axis=1)
         g = np.sqrt(np.maximum(g2, 1e-4))

@@ -239,6 +239,17 @@ def test_spectral_bounds_hold_for_every_candidate(metric, op, steps):
             assert not bound < val - 1e-12 * (1.0 + abs(val))
 
 
+def test_sg_merge_bound_takes_out_the_removed_node(monkeypatch):
+    # bounding lambda1 through A + e_i d' + d e_i', which keeps j's edges, left 103 of
+    # these 1225 merges to score exactly; the merged matrix's own lambda1 leaves 7
+    a = _adjacency_matrix(gen_er(50, 0.1, 103))
+    want = max(candidate_scores(a, MetricId.SG, "merge"), key=lambda c: c[2])
+    scored = []
+    monkeypatch.setitem(MATRIX_FUNCS, MetricId.SG, lambda b: scored.append(b) or metrics._gap(np.linalg.eigvalsh(b)))
+    assert best_candidate(a, MetricId.SG, "merge") == want
+    assert len(scored) <= 10
+
+
 @pytest.mark.parametrize("op", ["merge", "add_edge"])
 @pytest.mark.parametrize("metric", list(MetricId))
 def test_best_candidate_is_the_first_best_score(metric, op):
