@@ -211,6 +211,8 @@ def cmd_compare(args) -> int:
     methods = [Method(tok.strip().upper()) for tok in args.methods.split(",") if tok.strip()]
     if not methods:
         raise ValueError("--methods needs at least one method")
+    if not args.k:
+        raise ValueError("--k needs at least one value")
     g = _load_graph(args.dataset)
     rows = []
     for k in args.k:

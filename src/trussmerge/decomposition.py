@@ -36,17 +36,20 @@ in N'.
 
 pos' (peel order). An order of the shell R' - T' is a valid peel order
 iff every shell edge has at most k-3 forward triangles, whose other two
-edges are in T' or later in the order. The surviving shell edges keep
-their order. V starts as the new shell edges, and takes in every kept
-edge with more than k-3 forward triangles, counting V as later, until
-none is left; V goes last, in the order ``_peel`` removes it from T' + V,
-whose k-truss is T'. Every edge before V keeps at most k-3 forward
-triangles by the closure, and V's order is a peel, so the invariant
-holds. A kept edge gains a forward triangle only next to an edge that was
-lifted into T', is new to the superset off v1 (at level k, an edge the
-lower level lifted) or joined V; inside the star, only if
-neither its old triangle through v1 nor that through v2 counted, since
-the one through v1 replaces both. Only those are checked.
+edges are in T' or later in the order. The kept shell edges, those the
+evaluation neither lifted nor peeled, keep their order. V starts as the
+other shell edges: the star edges outside T', the edges the peel of H
+removed, and the edges new to the superset (``came``: at level k, those
+the lower level lifted; none at level k-1). It takes in every kept edge
+with more than k-3 forward triangles, counting V as later, until none is
+left; V goes last, in the order ``_peel`` removes it from T' + V, whose
+k-truss is T'. So the invariant holds, and the closure need start only
+next to ``came`` edges. A kept edge that the lift popped failed its test,
+which counted as forward every edge now in T' or V but the ``came``
+edges. A kept edge never popped has no star triangle, since those seed
+the heap, and no triangle with a lifted edge and a later edge, since a
+fresh triangle pushes it. So only a ``came`` edge can give a kept edge
+more than k-3 forward triangles.
 """
 
 from __future__ import annotations
@@ -390,32 +393,28 @@ class TrussView:
         merged graph, with ``pos`` a valid peel order of the same shell
         edges; the module docstring gives the argument. Each level runs one
         lift-then-peel on the unmerged graph, the lower level's gives the
-        new (k-1)-truss, and work stays near the merged node's star.
+        new (k-1)-truss, and work stays near the merged node's star. Each
+        level's pair edges are listed first: the merge changes both supersets.
         """
         memo, self._memo = self._memo, None
         result = memo[1] if memo and memo[0] == (v1, v2) else self._merged_truss(v1, v2)
         low = self.lower
-        ranks, low_ranks = self._ranks_at(v1, v2), low._ranks_at(v1, v2)
         low_result = low._merged_truss(v1, v2)
+        pair, low_pair = ([canon(v, w) for v in (v1, v2) for w in a.get(v, ())]
+                          for a in (self.adj_km1, low.adj_km1))
         self.g._merge_inplace(v1, v2)
-        lifted, peeled = low._commit(v1, v2, low_result, low_ranks, [], {})
+        lifted, peeled = low._commit(v1, v2, low_result, low_pair, [])
         # adj_km1 is R' now: R edges the lower peel removed left it, its lifted edges joined it
-        self._commit(v1, v2, result, ranks, peeled, lifted)
+        self._commit(v1, v2, result, pair + peeled, lifted)
 
-    def _ranks_at(self, v1: NodeId, v2: NodeId) -> list[dict[NodeId, int]]:
-        """The rank of each superset edge at v1 and at v2, keyed by its other end (infinite in T_k)."""
-        a, pos = self.adj_km1, self.pos
-        return [{w: pos.get(canon(v, w), math.inf) for w in a.get(v, ())} for v in (v1, v2)]
-
-    def _commit(self, v1: NodeId, v2: NodeId, result, ranks: list[dict[NodeId, int]],
-                gone: list[Edge], came: dict[Edge, int]) -> tuple[dict[Edge, int], list[Edge]]:
+    def _commit(self, v1: NodeId, v2: NodeId, result, gone: list[Edge],
+                came: list[Edge]) -> tuple[list[Edge], list[Edge]]:
         """Write T' from the pair's ``_merged_truss`` result and repair ``pos``.
 
-        ``adj_km1`` already holds the merged superset. ``ranks`` are from
-        :meth:`_ranks_at` before the merge, ``gone`` the edges off the pair
-        that left the superset and ``came`` those off v1 that joined it.
-        Returns the shell edges lifted into T', with their old ranks, and
-        the edges the peel removed.
+        ``adj_km1`` already holds the merged superset. ``gone`` lists the
+        pair's old superset edges and the edges that left the superset,
+        ``came`` the edges new to it off v1. Returns the shell edges lifted
+        into T' and the edges the peel of H removed.
         """
         _, (h_adj, h_sup, h_peeled, h_nodes) = result
         a, tk, st, pos = self.adj_km1, self.tk_adj, self.sup_tk, self.pos
@@ -430,26 +429,24 @@ class TrussView:
                 tk[x] = h_adj[x]
             else:
                 tk.pop(x, None)
-        # pos': drop the shell edges that left it, then repair the order
-        for e in chain((canon(v1, w) for w in ranks[0]), (canon(v2, w) for w in ranks[1]), gone):
+        # pos': drop the edges that left the shell; V starts with those new to it
+        for e in chain(gone, h_peeled):
             pos.pop(e, None)
-        lifted = {e: pos.pop(e) for e in h_sup if e in pos}
-        new = {canon(v1, x) for x in a.get(v1, ()) if x not in tk.get(v1, _EMPTY)}
-        fallen = {e for e in h_peeled if v1 not in e and e not in pos and e[1] in a.get(e[0], _EMPTY)}
-        self._carry_pos(v1, new.union(fallen, came), {**lifted, **dict.fromkeys(came, -1)}, ranks)
+        lifted = [e for e in h_sup if pos.pop(e, None) is not None]
+        vs = {canon(v1, x) for x in a.get(v1, ()) if x not in tk.get(v1, _EMPTY)}
+        vs.update(came, (e for e in h_peeled if e[1] in a.get(e[0], _EMPTY)))
+        self._carry_pos(vs, came)
         return lifted, h_peeled
 
-    def _carry_pos(self, v1: NodeId, new: set[Edge], ahead: dict[Edge, int],
-                   ranks: list[dict[NodeId, int]]) -> None:
+    def _carry_pos(self, vs: set[Edge], came: list[Edge]) -> None:
         """Repair ``pos`` into a peel order of R' down to T'.
 
-        ``pos`` holds the kept shell edges at their old ranks, ``new`` the
-        edges new to the shell, ``ahead`` the edges off v1 that now count as
-        forward for kept edges ranked after their old rank (-1 for edges new
-        to R'), and ``ranks`` the old ranks of the R edges at v1 and at v2.
+        ``pos`` holds the kept shell edges at their old ranks, ``vs`` the
+        edges new to the shell, which start V, and ``came`` those of them
+        new to the superset, the only edges that can give a kept edge too
+        many forward triangles.
         """
         a, tk, pos, thr = self.adj_km1, self.tk_adj, self.pos, self.k - 3
-        vs = set(new)
 
         def forward(e: Edge) -> int:  # triangles with T', V or later shell edges
             p, (x, y), n = pos[e], e, 0
@@ -473,17 +470,7 @@ class TrussView:
                     out.add(h)
             return out
 
-        # a kept edge gains a forward triangle only next to an edge that now counts as
-        # forward for it; inside the star, only if neither its old triangle through v1
-        # nor that through v2 counted
-        check = set().union(*(gainers(e, p) for e, p in ahead.items()))
-        s1, (r1, r2) = a.get(v1, _EMPTY), ranks
-        for x in s1:
-            for w in (s1 & a[x]) - tk.get(x, _EMPTY):  # the shell edges inside the star
-                if x < w and (p := pos.get((x, w))) is not None \
-                        and not (r1.get(x, -1) > p and r1.get(w, -1) > p) \
-                        and not (r2.get(x, -1) > p and r2.get(w, -1) > p):
-                    check.add((x, w))
+        check = set().union(*(gainers(c, -1) for c in came))
         while check:
             e = check.pop()
             if e not in vs and forward(e) > thr:

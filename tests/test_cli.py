@@ -305,11 +305,17 @@ def test_compare_rejects_trials_below_one(graph_a_file, trials, capsys):
     assert capsys.readouterr().err == "error: DOMAIN --trials must be at least 1\n"
 
 
-@pytest.mark.parametrize("methods", ["", " , "])
-def test_compare_rejects_empty_method_list(graph_a_file, methods, tmp_path, capsys):
+@pytest.mark.parametrize("flag, value, error", [
+    ("--methods", "", "--methods needs at least one method"),
+    ("--methods", " , ", "--methods needs at least one method"),
+    ("--k", "", "--k needs at least one value"),
+    ("--k", " , ", "--k needs at least one value"),
+], ids=["", " , ", "k-empty", "k-commas"])
+def test_compare_rejects_empty_method_list(graph_a_file, flag, value, error, tmp_path, capsys):
     out = tmp_path / "grid.csv"
-    assert main(["compare", graph_a_file, "--k", "4", "--methods", methods, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: DOMAIN --methods needs at least one method\n"
+    argv = {"--k": "4", "--methods": "RD", flag: value}
+    assert main(["compare", graph_a_file, *(x for kv in argv.items() for x in kv), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: DOMAIN {error}\n"
     assert not out.exists()
 
 

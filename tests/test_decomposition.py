@@ -203,13 +203,16 @@ def test_carried_view_matches_compute_after_every_merge(rng):
             shapes.update(case for case, hit in (
                 ("v1 outside R", v1 not in view.nodes_km1), ("v2 outside R", v2 not in view.nodes_km1),
                 ("empty T_k", not view.tk_size), ("empty shell", not view.pos)) if hit)
+            if rng.random() < 0.5:  # as in a greedy round, the merge commits its pair's evaluation
+                shapes["evaluated first"] += 1
+                view.truss_size_after_merge(v1, v2)
             view.merge(v1, v2)
             fresh = TrussView.compute(g, k)
             assert_carried(view, fresh, sorted(edges), k, pairs)
             if g.node_count > 1:
                 u, w = rng.sample(g.nodes(), 2)
                 assert view.truss_size_after_merge(u, w) == fresh.truss_size_after_merge(u, w)
-    assert len(shapes) == 9 and min(shapes.values()) >= 40, shapes
+    assert len(shapes) == 10 and min(shapes.values()) >= 40, shapes
 
 
 def test_bounded_evaluation_is_exact_at_or_above_the_floor(rng):
