@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from math import isqrt
 from typing import Iterable
 
 import numpy as np
@@ -88,12 +89,9 @@ def _rd_candidates(cfg: RunConfig, state: ScoringContext, rng: random.Random,
     total = n_ii + ni * no
 
     def decode(i: int) -> tuple[NodeId, NodeId, MergerKind]:
-        if i < n_ii:
-            a, rem = 0, i
-            while rem >= ni - 1 - a:
-                rem -= ni - 1 - a
-                a += 1
-            return inside[a], inside[a + 1 + rem], MergerKind.IIM
+        if i < n_ii:  # row a starts at a*(2ni-a-1)/2: a is the last row starting at or before i
+            a = ni - 2 - (isqrt(4 * ni * (ni - 1) - 8 * i - 7) - 1) // 2
+            return inside[a], inside[a + 1 + i - a * (2 * ni - a - 1) // 2], MergerKind.IIM
         j = i - n_ii
         return inside[j // no], pruned[j % no], MergerKind.IOM
 

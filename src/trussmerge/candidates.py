@@ -172,11 +172,10 @@ class ScoringContext:
         return np.repeat(np.arange(len(sets)), lens), self.col[flat]
 
     def rows(self, nodes, adj: dict[NodeId, set[NodeId]] | None = None) -> np.ndarray:
-        """0/1 rows of adj[v] over the columns (default: inside neighbors; absent: empty)."""
-        r, c = self._entries([self.partition.inside_neighbors[v] for v in nodes] if adj is None
-                             else [adj.get(v, ()) for v in nodes])
+        """0/1 rows of adj[v] over the columns (default: the graph's, that is inside neighbors; absent: empty)."""
+        r, c = self._entries([(self.view.g.adj if adj is None else adj).get(v, ()) for v in nodes])
         out = np.zeros((len(nodes), len(self.order)), self.dtype)
-        out[r, c] = 1
+        out[r[c >= 0], c[c >= 0]] = 1  # outside neighbors have no column
         return out
 
     @cached_property
@@ -185,8 +184,8 @@ class ScoringContext:
 
     @cached_property
     def inside_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        r, c = self._entries([self.partition.inside_neighbors[v] for v in self.order])
-        return r[r < c], c[r < c]
+        r, c = self._entries([self.view.g.adj[v] for v in self.order])
+        return r[r < c], c[r < c]  # an outside neighbor's column -1 is below every row
 
     def shell_neighbors(self, v: NodeId) -> list[NodeId]:
         return list(self.view.adj_km1.get(v, set()) - self.view.tk_adj.get(v, set()))
@@ -194,8 +193,8 @@ class ScoringContext:
     @cached_property
     def ranking(self) -> list[NodeId]:
         """Inside nodes by descending count of non-k-truss inside neighbors, ids breaking ties."""
-        nb, tk = self.partition.inside_neighbors, self.view.tk_adj
-        return sorted(self.order, key=lambda v: len(tk.get(v, ())) - len(nb[v]))
+        adj, out, tk = self.view.g.adj, self.partition.outside, self.view.tk_adj
+        return sorted(self.order, key=lambda v: len(tk.get(v, ())) - len(adj[v]) + len(out & adj[v]))
 
     def iim_scores(self, nodes: list[NodeId]) -> np.ndarray:
         """IIM score of every pair of the given inside nodes, as a symmetric matrix.

@@ -277,12 +277,14 @@ class TrussView:
         adj = {v: set(ns) for v, ns in g.adj.items()}
         sup = _supports(g.adj)
         first = _peel(adj, sup, k - 1)
-        adj_km1 = {v: ns for v, ns in adj.items() if ns}
-        lower = cls(g, k - 1, adj_km1, dict(sup), {e: i for i, e in enumerate(first)})
-        tk_adj = {v: set(ns) for v, ns in adj_km1.items()}
-        shell = _peel(tk_adj, sup, k)
-        tk_adj = {v: ns for v, ns in tk_adj.items() if ns}
-        return cls(g, k, tk_adj, sup, {e: i for i, e in enumerate(shell)}, lower)
+        # sets and dicts keep their tables after deletes: each level keeps fresh copies of
+        # its survivors, and each working copy goes before the next copy is made
+        adj = {v: set(ns) for v, ns in adj.items() if ns}
+        lower = cls(g, k - 1, adj, dict(sup), {e: i for i, e in enumerate(first)})
+        adj = {v: set(ns) for v, ns in adj.items()}
+        shell = _peel(adj, sup, k)
+        adj = {v: set(ns) for v, ns in adj.items() if ns}
+        return cls(g, k, adj, dict(sup), {e: i for i, e in enumerate(shell)}, lower)
 
     def truss_size_after_merge(self, v1: NodeId, v2: NodeId, floor: int | None = None) -> int:
         """|E(T_k)| of the graph with v2 merged into v1.

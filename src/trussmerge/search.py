@@ -203,6 +203,7 @@ def greedy_loop(g: Graph, cfg: RunConfig, source: CandidateSource, n_io: int = 0
         if not cfg.allow_no_op and best_size <= state.view.tk_size:
             break
         carried = (state.view, best.v1, best.v2)  # merged by the next round's build
+        del state  # so that two rounds' partitions and caches are never alive together
         steps.append(MergerStep(best.v1, best.v2, best.kind, best_size, n_io,
                                 len(cands), time.perf_counter() - t0))
         if adapt:

@@ -1,10 +1,12 @@
 """Reference strategies and constructed instances."""
 
 import random
+from itertools import accumulate
+from types import SimpleNamespace
 
 import pytest
 
-from trussmerge import (FixtureSpec, Graph, Method, RunConfig, baseline_ne,
+from trussmerge import (FixtureSpec, Graph, MergerKind, Method, RunConfig, baseline_ne,
                         baseline_nt, baseline_rd, brute_force_best_merger,
                         gen_er, hardness_fixture, naive_greedy,
                         nonsubmodularity_witness, objective, set_merge_pairs)
@@ -105,6 +107,47 @@ def test_rd_pool_respects_pruning():
         assert c.v1 in inside
         assert c.v2 in inside or c.v2 == 9
     assert all(8 not in p for p in pairs)
+
+
+class _Picks:
+    """A random source whose every sample is the given indices."""
+
+    def __init__(self, picks):
+        self.picks = picks
+
+    def sample(self, population, n):
+        return self.picks
+
+
+def _rd_pairs(ni: int, no: int, picks) -> list[tuple]:
+    state = SimpleNamespace(order=list(range(100, 100 + ni)), pruned=set(range(no)))
+    cands = _rd_candidates(RunConfig(k=4, n_c=max(1, len(picks))), state, _Picks(picks), 0)
+    return [(c.v1 - 100, c.v2 - 100 * (c.kind is MergerKind.IIM), c.kind) for c in cands]
+
+
+def test_rd_decodes_every_index_like_the_row_walk():
+    def walk(i, ni):  # the O(n_i) decode the closed form replaced
+        a, rem = 0, i
+        while rem >= ni - 1 - a:
+            rem -= ni - 1 - a
+            a += 1
+        return a, a + 1 + rem
+
+    for ni in [*range(40), 259]:
+        for no in (0, 3):
+            n_ii = ni * (ni - 1) // 2
+            want = [(*walk(i, ni), MergerKind.IIM) for i in range(n_ii)]
+            want += [(j // no, j % no, MergerKind.IOM) for j in range(ni * no)]
+            assert _rd_pairs(ni, no, list(range(n_ii + ni * no))) == want, (ni, no)
+
+
+@pytest.mark.parametrize("ni", [900, 5000, 20000])
+def test_rd_decodes_row_boundaries_of_large_pools(ni):
+    starts = list(accumulate((ni - 1 - a for a in range(ni - 1)), initial=0))  # row a starts here
+    rows = sorted({1, 2, ni // 2, ni - 2, *random.Random(ni).sample(range(1, ni - 1), 50)})
+    picks = [i for a in rows for i in (starts[a] - 1, starts[a])] + [starts[-1] - 1]
+    want = [p for a in rows for p in ((a - 1, ni - 1), (a, a + 1))] + [(ni - 2, ni - 1)]
+    assert _rd_pairs(ni, 0, picks) == [(*p, MergerKind.IIM) for p in want]
 
 
 def test_ne_skips_rounds_without_outside_nodes():

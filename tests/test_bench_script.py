@@ -3,14 +3,20 @@
 import importlib.util
 from pathlib import Path
 
+from trussmerge import gen_er
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_bench():
-    spec = importlib.util.spec_from_file_location("bench_script", ROOT / "scripts" / "bench.py")
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(f"{name}_script", ROOT / "scripts" / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def load_bench():
+    return load_script("bench")
 
 
 def test_parse_seeds_expands_ranges():
@@ -26,3 +32,17 @@ def test_src_lines_by_file_sums_to_src_lines():
     # counted line by line here, so a last line without its newline is not counted, as in wc -l
     assert by_file == {p.name: sum(line.endswith(b"\n") for line in p.open("rb")) for p in files}
     assert record["src_lines"] == sum(by_file.values())
+
+
+def test_mem_peak_reports_three_calls_and_live_sites(tmp_path, capsys):
+    g = gen_er(30, 0.4, 1)
+    edges = tmp_path / "g.txt"
+    edges.write_text("".join(f"{g.label(u)} {g.label(v)}\n" for u, v in g.edges()), encoding="utf-8")
+    assert load_script("mem_peak").main([str(edges), "--top", "3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    peaks = [line for line in out if "above the call's start" in line]
+    assert [line.split(":")[0] for line in peaks] == ["decompose --k 5,10", "BM k=5 b=3", "RD k=5 b=10"]
+    assert all(float(line.split("peak ")[1].split()[0]) > 0 for line in peaks)
+    # BM and RD both evaluate candidates here, so each lists its top three live sites
+    assert sum("live after evaluation" in line for line in out) == 2
+    assert sum("trussmerge/" in line for line in out) == 6

@@ -15,7 +15,7 @@ from trussmerge import (CandidateMerger, ConstraintFilter, Graph, MergerKind,
 
 from trussmerge import candidates
 from trussmerge.baselines import _ne_candidates, _nt_candidates
-from trussmerge.search import Method, RunConfig
+from trussmerge.search import Method, RunConfig, _split_candidates
 
 import oracles as orc
 from conftest import gnp_edges
@@ -105,6 +105,23 @@ def test_scoring_context_tables_match_sets(rng):
         prospects = {v: {w for w in p.inside_neighbors[v] if tr[canon(v, w)] < k} for v in order}
         assert {v: incident_prospects(ctx, v) for v in order} == prospects
         assert ctx.ranking == sorted(order, key=lambda v: (-len(prospects[v]), v))
+        done += 1
+
+
+@pytest.mark.parametrize("source", [_split_candidates, _ne_candidates, _nt_candidates],
+                         ids=["BM", "NE", "NT"])
+def test_round_sources_read_inside_neighbourhoods_from_the_graph(rng, source):
+    # scoring reads the working graph through the column map: only outside nodes get sets
+    done = 0
+    while done < 25:
+        n = rng.randint(6, 24)
+        g = Graph.from_edges(gnp_edges(rng, n, rng.uniform(0.2, 0.5)), nodes=range(n))
+        k = rng.randint(3, 5)
+        state = build_round_state(g, k)
+        if not state.partition.inside:
+            continue
+        source(RunConfig(k=k, n_i=8, n_o=4, n_c=6), state, random.Random(0), 3)
+        assert set(state.partition.inside_neighbors) == state.partition.outside
         done += 1
 
 

@@ -1,5 +1,7 @@
 """Greedy search loop: budget split, round accounting, replay exactness."""
 
+import gc
+import weakref
 from collections import Counter
 
 import pytest
@@ -132,6 +134,28 @@ def test_empty_pool_rounds_are_skipped(monkeypatch):
     assert plan.final_size == plan.initial_size == 11
     # the graph is unchanged after a skip, so the loop stops building rounds
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("method", [Method.BM, Method.RD, Method.NT])
+def test_greedy_loop_keeps_one_round_state_alive(monkeypatch, method):
+    refs = []
+    real = search.build_round_state
+
+    def build(*args):
+        assert [r() for r in refs] == [None] * len(refs), "a past round's state is still alive"
+        state = real(*args)
+        refs.append(weakref.ref(state))
+        return state
+
+    monkeypatch.setattr(search, "build_round_state", build)
+    enabled = gc.isenabled()
+    gc.disable()  # a state kept alive by a cycle must fail here every time, not by chance
+    try:
+        plan = run_method(gen_er(60, 0.2, 3), RunConfig(k=4, b=3, method=method))
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(plan.steps) == len(refs) == 3
 
 
 def test_frozen_adaptation_trace():
