@@ -122,6 +122,7 @@ class _Picks:
 def _rd_pairs(ni: int, no: int, picks) -> list[tuple]:
     state = SimpleNamespace(order=list(range(100, 100 + ni)), pruned=set(range(no)))
     cands = _rd_candidates(RunConfig(k=4, n_c=max(1, len(picks))), state, _Picks(picks), 0)
+    # inside node 100 + a is row a; pruned node j is column j
     return [(c.v1 - 100, c.v2 - 100 * (c.kind is MergerKind.IIM), c.kind) for c in cands]
 
 
