@@ -241,6 +241,10 @@ def cmd_robustness_study(args) -> int:
         raise ValueError("--rounds must be non-negative")
     if args.betweenness_sources is not None and args.betweenness_sources < 0:
         raise ValueError("--betweenness-sources must be non-negative")
+    other = ("--model", "--metric", "--op") if args.dataset else ("--k", "--betweenness-sources")
+    stray = [f for f in other if getattr(args, f[2:].replace("-", "_")) is not None]  # None: not given
+    if stray:
+        raise ValueError(f"{stray[0]} does not apply {'with' if args.dataset else 'without'} --dataset")
     if args.dataset:
         if args.k is None:
             raise ValueError("--k is required with --dataset")

@@ -356,8 +356,8 @@ def candidate_matrices(a: np.ndarray, op: str) -> Iterator[tuple[int, int, np.nd
 
 # distance entries scored per batch of closed-form candidates
 _BATCH = 1 << 16
-# SG bisection steps: coarse for every edit, full where the coarse bound reaches the incumbent
-_COARSE_STEPS, _STEPS = 4, 16
+# SG bisection steps, one pass: fewer leave more edits to score exactly, more cost more than they save
+_STEPS = 6
 
 
 def _pool(a: np.ndarray, op: str) -> tuple[np.ndarray, np.ndarray]:
@@ -444,8 +444,7 @@ def candidate_scores(a: np.ndarray, metric: MetricId | str, op: str) -> Iterator
             continue
 
 
-def _spectral_bounds(a: np.ndarray, metric: MetricId, op: str, steps: int = _STEPS,
-                     keep: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _spectral_bounds(a: np.ndarray, metric: MetricId, op: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(i, j, upper bound on the measure) for every NC or SG edit, from one eigh of a.
 
     Write the edit as M = A + s (e_i y' + y e_i') with unit y: y = e_j and
@@ -459,16 +458,15 @@ def _spectral_bounds(a: np.ndarray, metric: MetricId, op: str, steps: int = _STE
     for an addition and A + W T W', W = [e_j a_j], T = -[[0, 1], [1, 0]] for
     a merge. Above lambda1(A) >= lambda1(N), lambda tops its lambda1 iff
     s (P_iy + sqrt(P_ii P_yy)) < 1, P = [e_i y]' (lambda - N)^-1 [e_i y], which
-    Woodbury gives from (lambda - A)^-1; ``steps`` bisection steps keep hi
+    Woodbury gives from (lambda - A)^-1; ``_STEPS`` bisection steps keep hi
     above max(lambda1, lambda1(A)). lambda2 is at least the second Ritz value
     on the old top-three eigenvectors (row j zeroed for a merge, so their Gram
     matrix I - qq' is whitened by I + qq' / (g (1 + g)), g^2 = 1 - q'q), and at
-    least lambda3(A) after an addition or lambda4(A) after a merge. ``keep``
-    indexes a subset of the edits.
+    least lambda3(A) after an addition or lambda4(A) after a merge.
     """
     n = len(a)
     w, v = np.linalg.eigh(a)
-    ii, jj = (x if keep is None else x[keep] for x in _pool(a, op))
+    ii, jj = _pool(a, op)
     ex = np.exp(w - w[-1])  # F's spectrum, scaled by e^-lambda1
     floor = w[-3] if op != "merge" else (w[-4] if n >= 4 else -np.inf)
     ub, step = [np.empty(0)], max(1, _BATCH // (8 * n))  # blocks keep the (C, 4, n) products small
@@ -489,7 +487,7 @@ def _spectral_bounds(a: np.ndarray, metric: MetricId, op: str, steps: int = _STE
         z = np.stack([vi, vy, v[j], v[j] * w][:2 + 2 * (op == "merge")], axis=1)  # a_j' V = v_j w
         lo, hi = np.full(len(i), w[-1]), w[-1] + s
         with np.errstate(invalid="ignore", divide="ignore"):
-            for _ in range(steps):  # hi stays above the root, within s / 2^steps
+            for _ in range(_STEPS):  # hi stays above the root, within s / 2^_STEPS
                 mid = (lo + hi) / 2
                 r = (z / (mid[:, None] - w)[:, None, :]) @ z.transpose(0, 2, 1)  # [e_i y e_j a_j]' R [...]
                 p = r[:, :2, :2]
@@ -513,39 +511,36 @@ def _spectral_bounds(a: np.ndarray, metric: MetricId, op: str, steps: int = _STE
 def best_candidate(a: np.ndarray, metric: MetricId | str, op: str) -> tuple[int, int, float] | None:
     """The best ``candidate_scores`` edit as (i, j, value); ties to the first pair, None if none.
 
-    A closed form's arrays give the first best by ``argmax``. SG and NC
-    edits are scored exactly (``MATRIX_FUNCS`` on the edited matrix),
-    the top bound's first, then in descending order of ``_spectral_bounds``
-    until the next bound falls below the best value found, so the choice
-    is the exhaustive one. SG bounds take ``_COARSE_STEPS`` bisection
-    steps, and ``_STEPS`` where that reaches the first value. A
-    non-finite bound always gets scored.
+    One scan over every edit, in descending order of a key its value
+    cannot beat in the measure's direction: a closed form's own value,
+    never scored again; an SG or NC bound on at least 3 nodes; else +inf,
+    as for every non-finite bound. Each other edit is scored with
+    ``MATRIX_FUNCS`` on the edited matrix, unless the measure is undefined
+    there, until the next key falls below the best value found, so the
+    choice is the exhaustive one.
     """
     metric = MetricId(metric)
     sign, scored = METRIC_DIRECTION[metric], _closed_form(a, metric, op)
     if scored is not None:
-        x = np.argmax(sign * scored[2]) if len(scored[2]) else None
-        return None if x is None else (int(scored[0][x]), int(scored[1][x]), float(scored[2][x]))
-    if len(a) < 3 or metric not in (MetricId.SG, MetricId.NC):
-        return max(candidate_scores(a, metric, op), key=lambda c: sign * c[2], default=None)
-    ii, jj, ub = _spectral_bounds(a, metric, op, _COARSE_STEPS)
-    if not len(ub):
-        return None
-    ub = np.where(np.isfinite(ub), ub, np.inf)
-    first = best = int(np.argmax(ub))
-    val = top = MATRIX_FUNCS[metric](_edited(a, op, int(ii[first]), int(jj[first])))
-    # the slack covers rounding in the eigendecomposition and the exact spectra
-    if metric is MetricId.SG:
-        near = np.flatnonzero(ub >= val - 1e-7 * (1.0 + abs(val)))
-        fine = _spectral_bounds(a, metric, op, _STEPS, near)[2]
-        ub[near] = np.where(np.isfinite(fine), fine, np.inf)
-    for x in np.argsort(-ub, kind="stable").tolist():
-        if ub[x] < val - 1e-7 * (1.0 + abs(val)):
+        ii, jj, key = scored[0], scored[1], sign * scored[2]
+    elif len(a) >= 3 and metric in (MetricId.SG, MetricId.NC):
+        ii, jj, key = _spectral_bounds(a, metric, op)
+    else:
+        ii, jj = _pool(a, op)
+        key = np.full(len(ii), np.inf)
+    key, best, val = np.where(np.isfinite(key), key, np.inf), None, 0.0
+    for x in np.argsort(-key, kind="stable").tolist():
+        # the slack covers rounding in the eigendecomposition and the exact spectra
+        if best is not None and key[x] < sign * val - 1e-7 * (1.0 + abs(val)):
             break
-        y = top if x == first else MATRIX_FUNCS[metric](_edited(a, op, int(ii[x]), int(jj[x])))
-        if y > val or (y == val and x < best):
+        try:
+            y = (float(scored[2][x]) if scored is not None
+                 else MATRIX_FUNCS[metric](_edited(a, op, int(ii[x]), int(jj[x]))))
+        except ValueError:
+            continue
+        if best is None or sign * y > sign * val or (y == val and x < best):
             best, val = x, y
-    return int(ii[best]), int(jj[best]), val
+    return None if best is None else (int(ii[best]), int(jj[best]), val)
 
 
 def greedy_improve(g: Graph, metric: MetricId | str, op: str, rounds: int,

@@ -46,3 +46,15 @@ def test_mem_peak_reports_three_calls_and_live_sites(tmp_path, capsys):
     # BM and RD both evaluate candidates here, so each lists its top three live sites
     assert sum("live after evaluation" in line for line in out) == 2
     assert sum("trussmerge/" in line for line in out) == 6
+
+
+def test_study_scan_prints_one_line_per_measure_and_op(capsys):
+    assert load_script("study_scan").main(["--seeds", "1", "--repeat", "1", "--metrics", "VB,SG"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("# 5 graphs, ER(50, 0.1) seeds 100..106")
+    assert out[1] == "metric,op,ms,exact_scorings,picks_sha256"
+    rows = [line.split(",") for line in out[2:]]
+    assert [(r[0], r[1]) for r in rows] == [("VB", "merge"), ("VB", "add_edge"), ("SG", "merge"), ("SG", "add_edge")]
+    # VB has a closed form for both ops; SG scores each edit its bound cannot rule out
+    assert [int(r[3]) for r in rows[:2]] == [0, 0] and all(int(r[3]) > 0 for r in rows[2:])
+    assert all(float(r[2]) > 0 and len(r[4]) == 64 for r in rows)

@@ -272,6 +272,18 @@ STUDY_SHA256 = {
     ("ws", "NC", "add_edge"): "3c47872889c43ce770b81860167a321b74db652fb24e6747e6847d2c6bf7f8e8",
     ("hk", "SG", "add_edge"): "f0da81efe481a36915d7b13b09f82d9574d6d34f09ef0d9d3484b80b8c0c8b3b",
     ("hk", "NC", "merge"): "093f0bdbdb1a3488513266cfcf8e86038d95051f4839d4229bb2618110d08e77",
+    ("er", "VB", "merge"): "51a7c136362cafbd6147f23efb6a2c020fec1ef2073269738f4f9e435ba0c1e2",
+    ("er", "VB", "add_edge"): "a889f2fe386126d137c6f33193a89841d74e931bfc00325917b895bb505c416a",
+    ("er", "EB", "merge"): "89afdc6ea2d0c1c0420c2ed6c34073bf9eff061444b2c4c9e1519aefad62a10e",
+    ("er", "EB", "add_edge"): "a889f2fe386126d137c6f33193a89841d74e931bfc00325917b895bb505c416a",
+    ("er", "ER", "merge"): "6434ef9bc462ddb07afea0c1d364611d7b5ede79039166cfb416979179216e81",
+    ("er", "ER", "add_edge"): "254528b4d9de102ed9e8b4bee3fcf2465eff7f89da88fcabe42604bc437cff5d",
+    ("er", "AD", "merge"): "51a7c136362cafbd6147f23efb6a2c020fec1ef2073269738f4f9e435ba0c1e2",
+    ("er", "AD", "add_edge"): "a889f2fe386126d137c6f33193a89841d74e931bfc00325917b895bb505c416a",
+    ("er", "TS", "merge"): "45250f912787117d018d511608af2bd978c757ce4fa69881740f99742b2f2bab",
+    ("er", "TS", "add_edge"): "47d45f7d091013e9cb82807ca1cbc83f393a24d9d53b38b05ed32a19e64cfce5",
+    ("er", "LC", "merge"): "57c4876332273983c0707c0da96c1643d5381a989c5cd285b05dae61ea5e2308",
+    ("er", "LC", "add_edge"): "069d1fd127632e0de4853a1f33152456451ab96a3f6f2c7a95a0514c04de76c6",
 }
 
 
@@ -381,6 +393,22 @@ def test_robustness_study_rejects_negative_betweenness_sources(er_file, mode, ca
     err = capsys.readouterr().err
     assert err.startswith("error: DOMAIN --betweenness-sources")
     assert "Sample larger" not in err
+
+
+@pytest.mark.parametrize("dataset, extra, flag", [
+    (True, ["--model", "er", "--metric", "SG", "--op", "merge"], "--model"),
+    (True, ["--metric", "SG"], "--metric"),
+    (True, ["--op", "merge"], "--op"),
+    (False, ["--betweenness-sources", "5"], "--betweenness-sources"),
+    (False, ["--k", "7"], "--k"),
+], ids=["model", "metric", "op", "betweenness-sources", "k"])
+def test_robustness_study_rejects_the_other_modes_flags(er_file, tmp_path, dataset, extra, flag, capsys):
+    out = tmp_path / "study.csv"
+    mode = ["--dataset", er_file, "--k", "3"] if dataset else ["--model", "er", "--metric", "SG", "--op", "merge"]
+    assert main(["robustness-study", *mode, *extra, "--rounds", "1", "--out", str(out)]) == 1
+    side = "with" if dataset else "without"
+    assert capsys.readouterr().err == f"error: DOMAIN {flag} does not apply {side} --dataset\n"
+    assert not out.exists()
 
 
 def test_fixtures_coverage_round_trip(tmp_path, capsys):

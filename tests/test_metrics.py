@@ -226,13 +226,15 @@ def _spectral_cases() -> list[Graph]:
 
 @pytest.mark.parametrize("metric, op, steps", [
     pytest.param(metric, op, steps, id=f"{metric.value}-{op}{suffix}") for metric, op in BOUNDED
-    for steps, suffix in ((metrics._STEPS, ""), (metrics._COARSE_STEPS, "-coarse"))])
-def test_spectral_bounds_hold_for_every_candidate(metric, op, steps):
+    for steps, suffix in ((None, ""), (4, "-coarse"))])
+def test_spectral_bounds_hold_for_every_candidate(monkeypatch, metric, op, steps):
+    if steps is not None:  # fewer bisection steps leave a looser bound, which must still hold
+        monkeypatch.setattr(metrics, "_STEPS", steps)
     for g in _spectral_cases():
         a = _adjacency_matrix(g)
         if len(a) < 3:
             continue  # best_candidate scans these directly
-        ii, jj, ub = _spectral_bounds(a, metric, op, steps)
+        ii, jj, ub = _spectral_bounds(a, metric, op)
         exact = list(candidate_scores(a, metric, op))
         assert list(zip(ii.tolist(), jj.tolist())) == [(i, j) for i, j, _ in exact]
         for (_, _, val), bound in zip(exact, ub.tolist()):
@@ -241,7 +243,7 @@ def test_spectral_bounds_hold_for_every_candidate(metric, op, steps):
 
 def test_sg_merge_bound_takes_out_the_removed_node(monkeypatch):
     # bounding lambda1 through A + e_i d' + d e_i', which keeps j's edges, left 103 of
-    # these 1225 merges to score exactly; the merged matrix's own lambda1 leaves 7
+    # these 1225 merges to score exactly; the merged matrix's own lambda1 leaves 9
     a = _adjacency_matrix(gen_er(50, 0.1, 103))
     want = max(candidate_scores(a, MetricId.SG, "merge"), key=lambda c: c[2])
     scored = []
@@ -250,18 +252,46 @@ def test_sg_merge_bound_takes_out_the_removed_node(monkeypatch):
     assert len(scored) <= 10
 
 
+def test_sg_addition_bound_scores_few_edits(monkeypatch):
+    # 9 of these 1107 absent edges get scored exactly
+    a = _adjacency_matrix(gen_er(50, 0.1, 103))
+    want = max(candidate_scores(a, MetricId.SG, "add_edge"), key=lambda c: c[2])
+    scored = []
+    monkeypatch.setitem(MATRIX_FUNCS, MetricId.SG, lambda b: scored.append(b) or metrics._gap(np.linalg.eigvalsh(b)))
+    assert best_candidate(a, MetricId.SG, "add_edge") == want
+    assert len(scored) <= 10
+
+
+def _first_best(a: np.ndarray, metric: MetricId, op: str):
+    sign, want = METRIC_DIRECTION[metric], None
+    for i, j, val in candidate_scores(a, metric, op):
+        if want is None or sign * val > sign * want[2]:
+            want = (i, j, val)
+    return want
+
+
+@pytest.mark.parametrize("metric, op", [(m, op) for m in (MetricId.VB, MetricId.EB, MetricId.AD)
+                                        for op in ("merge", "add_edge")] + [(MetricId.ER, "add_edge")])
+def test_closed_forms_never_score_an_edited_matrix(monkeypatch, metric, op):
+    # connected, as ER additions need for their closed form
+    matrices = [_adjacency_matrix(g) for g in _scoring_cases() + [gen_er(50, 0.1, 103)] if is_connected(g)]
+    wants = [_first_best(a, metric, op) for a in matrices]
+
+    def refuse(b):
+        raise AssertionError("scored an edited matrix")
+
+    for m in MetricId:
+        monkeypatch.setitem(MATRIX_FUNCS, m, refuse)
+    assert [best_candidate(a, metric, op) for a in matrices] == wants
+
+
 @pytest.mark.parametrize("op", ["merge", "add_edge"])
 @pytest.mark.parametrize("metric", list(MetricId))
 def test_best_candidate_is_the_first_best_score(metric, op):
-    sign = METRIC_DIRECTION[metric]
     spectral = metric in (MetricId.SG, MetricId.NC)
     for g in _spectral_cases() if spectral else _scoring_cases():
         a = _adjacency_matrix(g)
-        want = None
-        for i, j, val in candidate_scores(a, metric, op):
-            if want is None or sign * val > sign * want[2]:
-                want = (i, j, val)
-        assert best_candidate(a, metric, op) == want
+        assert best_candidate(a, metric, op) == _first_best(a, metric, op)
 
 
 def test_best_candidate_on_degenerate_graphs():
@@ -282,8 +312,8 @@ def test_non_finite_bounds_are_scored(monkeypatch, metric, op, bad):
     a = _adjacency_matrix(gen_er(20, 0.2, 7))
     want = max(candidate_scores(a, metric, op), key=lambda c: c[2])
 
-    def spoiled(a, metric, op, steps, keep=None):
-        ii, jj, ub = _spectral_bounds(a, metric, op, steps, keep)
+    def spoiled(a, metric, op):
+        ii, jj, ub = _spectral_bounds(a, metric, op)
         ub = ub.copy()
         ub[(ii == want[0]) & (jj == want[1])] = bad
         ub[::5] = -np.inf
