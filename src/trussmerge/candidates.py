@@ -105,9 +105,13 @@ def load_coordinates(lines) -> dict[str, tuple[float, float]]:
         if len(tokens) < 3:
             raise ParseError(f"line {lineno}: expected 'label lat lon', got {line!r}")
         try:
-            out[tokens[0]] = (float(tokens[1]), float(tokens[2]))
+            lat, lon = float(tokens[1]), float(tokens[2])
         except ValueError:
             raise ParseError(f"line {lineno}: bad coordinate in {line!r}") from None
+        if not (abs(lat) <= 90 and abs(lon) <= 180):  # also false for nan
+            raise ParseError(f"line {lineno}: not a position (lat in [-90, 90], lon in "
+                             f"[-180, 180]) in {line!r}")
+        out[tokens[0]] = (lat, lon)
     return out
 
 

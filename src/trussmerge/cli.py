@@ -62,7 +62,10 @@ def _parse_sets(text: str) -> tuple[frozenset[int], ...]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        groups.append(frozenset(int(tok) for tok in chunk.split(",") if tok.strip()))
+        try:
+            groups.append(frozenset(int(tok) for tok in chunk.split(",") if tok.strip()))
+        except ValueError:
+            raise ValueError(f"--sets: {chunk!r} is not a comma-separated list of integers") from None
     if not groups:
         raise ValueError("at least one set of elements is required")
     return tuple(groups)
@@ -208,7 +211,12 @@ def cmd_maximize(args) -> int:
 def cmd_compare(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
-    methods = [Method(tok.strip().upper()) for tok in args.methods.split(",") if tok.strip()]
+    names = [tok.strip().upper() for tok in args.methods.split(",") if tok.strip()]
+    known = [m.value for m in Method]
+    for name in names:
+        if name not in known:
+            raise ValueError(f"--methods: unknown method {name!r} (one of {', '.join(known)})")
+    methods = [Method(name) for name in names]
     if not methods:
         raise ValueError("--methods needs at least one method")
     if not args.k:
@@ -241,7 +249,8 @@ def cmd_robustness_study(args) -> int:
         raise ValueError("--rounds must be non-negative")
     if args.betweenness_sources is not None and args.betweenness_sources < 0:
         raise ValueError("--betweenness-sources must be non-negative")
-    other = ("--model", "--metric", "--op") if args.dataset else ("--k", "--betweenness-sources")
+    other = (("--model", "--metric", "--op") if args.dataset
+             else ("--k", "--betweenness-sources", "--ni", "--no", "--nc"))
     stray = [f for f in other if getattr(args, f[2:].replace("-", "_")) is not None]  # None: not given
     if stray:
         raise ValueError(f"{stray[0]} does not apply {'with' if args.dataset else 'without'} --dataset")
@@ -249,8 +258,10 @@ def cmd_robustness_study(args) -> int:
         if args.k is None:
             raise ValueError("--k is required with --dataset")
         g = _load_graph(args.dataset)
-        trace = correlation_study(g, args.k, args.rounds, n_i=args.ni, n_o=args.no, n_c=args.nc,
-                                  seed=args.seed, betweenness_sources=args.betweenness_sources)
+        pools = {name: v for name, v in (("n_i", args.ni), ("n_o", args.no), ("n_c", args.nc))
+                 if v is not None}  # unset: correlation_study's own 100/50/10
+        trace = correlation_study(g, args.k, args.rounds, seed=args.seed,
+                                  betweenness_sources=args.betweenness_sources, **pools)
         rows = []
         for i, row in enumerate(trace.rows):
             rows.append([i, row.operation, row.truss_size] +
@@ -366,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=3)
     p.add_argument("--seeds", type=int, default=1, help="number of consecutive seeds")
     _add_run_flags(p, budgeted=False)
-    p.set_defaults(func=cmd_robustness_study)
+    p.set_defaults(func=cmd_robustness_study, ni=None, no=None, nc=None)  # set only when given
 
     p = sub.add_parser("fixtures", help="emit constructed gadget graphs as edge lists")
     p.add_argument("kind", choices=["coverage", "witness"])

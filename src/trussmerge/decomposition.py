@@ -43,8 +43,11 @@ removed, and the edges new to the superset (``came``: at level k, those
 the lower level lifted; none at level k-1). It takes in every kept edge
 with more than k-3 forward triangles, counting V as later, until none is
 left; V goes last, in the order ``_peel`` removes it from T' + V, whose
-k-truss is T'. So the invariant holds, and the closure need start only
-next to ``came`` edges. A kept edge that the lift popped failed its test,
+k-truss is T' as T' <= T' + V <= R'. So the invariant holds, and V is
+peeled in place on T'. As V grows, a kept edge gains forward triangles
+only with the edge that joined, so the closure re-checks a superset: each
+kept edge sharing a triangle with a joining edge. It need start only next
+to ``came`` edges. A kept edge that the lift popped failed its test,
 which counted as forward every edge now in T' or V but the ``came``
 edges. A kept edge never popped has no star triangle, since those seed
 the heap, and no triangle with a lifted edge and a later edge, since a
@@ -444,50 +447,40 @@ class TrussView:
         """Repair ``pos`` into a peel order of R' down to T'.
 
         ``pos`` holds the kept shell edges at their old ranks, ``vs`` the
-        edges new to the shell, which start V, and ``came`` those of them
-        new to the superset, the only edges that can give a kept edge too
-        many forward triangles.
+        edges new to the shell, which start V, and ``came`` those of them new
+        to the superset. An edge leaves ``pos`` as it joins V.
         """
         a, tk, pos, thr = self.adj_km1, self.tk_adj, self.pos, self.k - 3
 
         def forward(e: Edge) -> int:  # triangles with T', V or later shell edges
-            p, (x, y), n = pos[e], e, 0
+            p, (x, y), n = pos[e], e, 0  # an R' edge outside pos is in T' or V
             for w in a[x] & a[y]:
-                f = (x, w) if x < w else (w, x)
-                h = (y, w) if y < w else (w, y)
-                n += (f in vs or pos.get(f, p + 1) > p) and (h in vs or pos.get(h, p + 1) > p)
+                n += (pos.get((x, w) if x < w else (w, x), p + 1) > p
+                      and pos.get((y, w) if y < w else (w, y), p + 1) > p)
             return n
 
-        def gainers(e: Edge, p: int) -> set[Edge]:
-            """The kept edges ranked after p that e's triangles may now count as forward."""
-            x, y, out = *e, set()
-            for w in a[x] & a[y]:
-                f = (x, w) if x < w else (w, x)
-                h = (y, w) if y < w else (w, y)
-                rf = math.inf if f in vs else pos.get(f, math.inf)  # infinite in T' or V
-                rh = math.inf if h in vs else pos.get(h, math.inf)
-                if p < rf < rh:
-                    out.add(f)
-                elif p < rh < rf:
-                    out.add(h)
-            return out
+        def kept_mates(x: NodeId, y: NodeId) -> set[Edge]:  # kept edges in a triangle on (x, y)
+            return {f for w in a[x] & a[y]
+                    for f in ((x, w) if x < w else (w, x), (y, w) if y < w else (w, y)) if f in pos}
 
-        check = set().union(*(gainers(c, -1) for c in came))
+        check = set().union(*(kept_mates(*c) for c in came))
         while check:
             e = check.pop()
-            if e not in vs and forward(e) > thr:
+            if forward(e) > thr:
+                del pos[e]
                 vs.add(e)
-                check |= gainers(e, pos[e])
-        v_adj: dict[NodeId, set[NodeId]] = {}
-        for x, y in vs:
-            v_adj.setdefault(x, set()).add(y)
-            v_adj.setdefault(y, set()).add(x)
-        hv = _Lazy(lambda x: set(tk.get(x, ())).union(v_adj.get(x, ())))
+                check |= kept_mates(*e)
+        for x, y in vs:  # V goes last: peeling T' + V in place removes exactly V
+            tk.setdefault(x, set()).add(y)
+            tk.setdefault(y, set()).add(x)
         vsup = _Lazy(lambda e: math.inf)  # T' edges never leave this peel, so need no count
-        vsup.update((e, len(hv[e[0]] & hv[e[1]])) for e in vs)
-        for e in vs:  # V goes last, ranked after every kept edge, so pos stays in rank order
-            pos.pop(e, None)
-        pos.update(zip(_peel(hv, vsup, self.k), count(next(reversed(pos.values()), -1) + 1)))
+        vsup.update((e, len(tk[e[0]] & tk[e[1]])) for e in vs)
+        pos.update(zip(_peel(tk, vsup, self.k), count(next(reversed(pos.values()), -1) + 1)))
+        for x in {x for e in vs for x in e}:  # as compute leaves them: right-sized, none empty
+            if tk[x]:
+                tk[x] = set(tk[x])
+            else:
+                del tk[x]
 
 
 def post_merger_truss_size(g: Graph, k: int, v1: NodeId, v2: NodeId) -> int:

@@ -58,3 +58,40 @@ def test_study_scan_prints_one_line_per_measure_and_op(capsys):
     # VB has a closed form for both ops; SG scores each edit its bound cannot rule out
     assert [int(r[3]) for r in rows[:2]] == [0, 0] and all(int(r[3]) > 0 for r in rows[2:])
     assert all(float(r[2]) > 0 and len(r[4]) == 64 for r in rows)
+
+
+SYNTHETIC = '''"""A module docstring."""
+import os
+
+
+@staticmethod
+def used(x,
+         y=0):
+    """A docstring
+    on two lines."""
+    if x:
+        return os.sep
+    return None
+
+
+class Never:
+    def method(self):
+        return 2
+
+
+used(1)
+'''
+
+
+def test_line_cover_lists_the_statements_that_never_ran(tmp_path):
+    line_cover = load_script("line_cover")
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    path = pkg / "mod.py"
+    path.write_text(SYNTHETIC, encoding="utf-8")
+    with line_cover.traced(pkg) as ran:
+        exec(compile(SYNTHETIC, str(path), "exec"), {"__name__": "mod"})
+    # def, class, import and docstring lines are never listed, run or not
+    assert line_cover.unrun(path, ran[str(path)]) == ["mod.py:12: return None", "mod.py:17: return 2"]
+    assert line_cover.unrun(path, set()) == [
+        f"mod.py:{n}: {SYNTHETIC.splitlines()[n - 1].strip()}" for n in (10, 11, 12, 17, 20)]

@@ -9,7 +9,7 @@ import pytest
 
 from trussmerge import (CandidateMerger, ConstraintFilter, Graph, MergerKind,
                         ParseError, build_round_state, canon, find_iim_candidates,
-                        find_iom_candidates, haversine_km, iim_score,
+                        find_iom_candidates, gen_hk, haversine_km, iim_score,
                         incident_prospects, load_coordinates, new_inside_neighbors,
                         phse, top_inside_nodes, top_outside_nodes, truss_decompose)
 
@@ -68,6 +68,26 @@ def test_phse_matches_definition_oracle(rng):
         want = orc.phse_oracle(g.edge_set(), g.nodes(), k, v1, v2)
         assert got == want, (sorted(g.edge_set()), k, v1, v2)
         done += 1
+
+
+def test_phse_edges_counts_phse_and_z(rng):
+    """``ScoringContext.phse_edges`` reads (|PHSE|, |Z|) of one inside-outside or inside-inside pair."""
+    kinds = {"io": 0, "ii": 0}
+    for i in range(40):
+        n = rng.randint(8, 30)
+        g = (gen_hk(n, rng.randint(1, 3), rng.uniform(0.2, 0.8), rng.randrange(1000)) if i % 2
+             else Graph.from_edges(gnp_edges(rng, n, rng.uniform(0.2, 0.5)), nodes=range(n)))
+        k = rng.randint(3, 5)
+        ctx = build_round_state(g, k)
+        inside, outside = sorted(ctx.partition.inside), sorted(ctx.partition.outside)
+        pairs = {"io": [(vi, vo) for vi in inside for vo in outside],
+                 "ii": [(vi, vo) for vi in inside for vo in inside if vi != vo]}
+        for kind, some in pairs.items():
+            for vi, vo in rng.sample(some, min(15, len(some))):
+                want = (len(phse(ctx, vi, vo)), len(new_inside_neighbors(ctx, vi, vo)))
+                assert ctx.phse_edges(vi, vo) == want, (sorted(g.edge_set()), k, vi, vo)
+                kinds[kind] += 1
+    assert min(kinds.values()) >= 100, kinds
 
 
 def test_scoring_context_tables_match_sets(rng):
@@ -231,6 +251,13 @@ def test_load_coordinates():
         load_coordinates(["a 1 2", "b 3"])
     with pytest.raises(ParseError, match="line 1"):
         load_coordinates(["a one 2"])
+    # non-finite values and out-of-range latitudes or longitudes are not positions
+    for lat, lon in (("inf", "0"), ("0", "-inf"), ("nan", "0"), ("0", "nan"), ("1e400", "0"),
+                     ("90.5", "0"), ("0", "-180.5")):
+        with pytest.raises(ParseError, match="line 2: not a position"):
+            load_coordinates(["a 1 2", f"b {lat} {lon}"])
+    got = load_coordinates(["n 90 180", "s -90 -180"])
+    assert got == {"n": (90.0, 180.0), "s": (-90.0, -180.0)}
 
 
 def test_finder_scores_match_oracles(rng):

@@ -320,9 +320,10 @@ def test_compare_rejects_trials_below_one(graph_a_file, trials, capsys):
 @pytest.mark.parametrize("flag, value, error", [
     ("--methods", "", "--methods needs at least one method"),
     ("--methods", " , ", "--methods needs at least one method"),
+    ("--methods", "BM,XX", "--methods: unknown method 'XX' (one of BM, EQ, II, IO, RD, NE, NT, NAIVE)"),
     ("--k", "", "--k needs at least one value"),
     ("--k", " , ", "--k needs at least one value"),
-], ids=["", " , ", "k-empty", "k-commas"])
+], ids=["", " , ", "unknown-method", "k-empty", "k-commas"])
 def test_compare_rejects_empty_method_list(graph_a_file, flag, value, error, tmp_path, capsys):
     out = tmp_path / "grid.csv"
     argv = {"--k": "4", "--methods": "RD", flag: value}
@@ -401,7 +402,10 @@ def test_robustness_study_rejects_negative_betweenness_sources(er_file, mode, ca
     (True, ["--op", "merge"], "--op"),
     (False, ["--betweenness-sources", "5"], "--betweenness-sources"),
     (False, ["--k", "7"], "--k"),
-], ids=["model", "metric", "op", "betweenness-sources", "k"])
+    (False, ["--ni", "5"], "--ni"),
+    (False, ["--no", "5"], "--no"),
+    (False, ["--nc", "3"], "--nc"),
+], ids=["model", "metric", "op", "betweenness-sources", "k", "ni", "no", "nc"])
 def test_robustness_study_rejects_the_other_modes_flags(er_file, tmp_path, dataset, extra, flag, capsys):
     out = tmp_path / "study.csv"
     mode = ["--dataset", er_file, "--k", "3"] if dataset else ["--model", "er", "--metric", "SG", "--op", "merge"]
@@ -459,6 +463,10 @@ def test_bad_domain_values(graph_a_file, capsys):
     assert capsys.readouterr().err.startswith("error: DOMAIN")
     assert main(["fixtures", "coverage", "--sets", ";"]) == 1
     assert capsys.readouterr().err.startswith("error: DOMAIN")
+    for sets in ("a", "1,x", "1.5"):
+        assert main(["fixtures", "coverage", "--sets", sets]) == 1
+        assert capsys.readouterr().err == \
+            f"error: DOMAIN --sets: {sets!r} is not a comma-separated list of integers\n"
 
 
 @pytest.mark.parametrize("argv", [
