@@ -6,9 +6,9 @@ only frames whose code lives in the package directory that ``trussmerge``
 resolves to on the path, then prints each statement that never ran as
 ``file:line: source``. A statement is a line start of a code object
 compiled from the file, except ``def``, ``class``, import and docstring
-lines. The tracer makes the run several times slower (tier-1 takes about
-4.5 times as long). The exit code is pytest's. Example, from the root of
-a source checkout:
+lines. The tracer slows the run about threefold (tier-1: 100 s against
+38 s on a 2-vCPU host). The exit code is pytest's. Example, from the
+root of a source checkout:
 
     PYTHONPATH=src python3 scripts/line_cover.py -q -p no:cacheprovider
 """
@@ -19,11 +19,12 @@ import ast
 import dis
 import importlib.util
 import sys
-import threading
 import types
 from collections import defaultdict
 from contextlib import contextmanager
 from pathlib import Path
+
+import pytest
 
 
 def statement_lines(source: str, filename: str) -> set[int]:
@@ -68,18 +69,14 @@ def traced(directory: Path):
     def on_call(frame, event, arg):
         return local if frame.f_code.co_filename.startswith(prefix) else None
 
-    threading.settrace(on_call)
     sys.settrace(on_call)
     try:
         yield ran
     finally:
         sys.settrace(before)
-        threading.settrace(before)
 
 
 def main(argv=None) -> int:
-    import pytest
-
     package = Path(importlib.util.find_spec("trussmerge").origin).parent  # as in co_filename
     with traced(package) as ran:
         code = pytest.main(sys.argv[1:] if argv is None else argv)
