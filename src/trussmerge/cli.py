@@ -106,14 +106,13 @@ def _constraint_filter(g: Graph, coords_path: str | None, threshold: float | Non
         # coordinates alone would filter nothing; NaN, a negative radius or
         # no coordinates would reject every pair
         raise ValueError("--dist-threshold and --coords need each other, with a radius >= 0 km")
-    by_id: dict[int, tuple[float, float]] = {}
     with open(coords_path, encoding="utf-8") as fh:
-        for label, xy in load_coordinates(fh).items():
-            try:
-                by_id[g.node_of(label)] = xy
-            except ValueError:
-                continue
-    return ConstraintFilter(by_id, threshold)
+        try:
+            coords = load_coordinates(fh)
+        except ParseError as exc:  # name the file: an edge-list error also reads "line N: ..."
+            raise ParseError(f"--coords {coords_path} {exc}") from None
+    labels = {g.label(v) for v in g.adj}  # the coordinates of other labels are ignored
+    return ConstraintFilter({g.node_of(x): xy for x, xy in coords.items() if x in labels}, threshold)
 
 
 def _config_echo(cfg: RunConfig, args) -> dict:
@@ -213,9 +212,11 @@ def cmd_compare(args) -> int:
         raise ValueError("--trials must be at least 1")
     names = [tok.strip().upper() for tok in args.methods.split(",") if tok.strip()]
     known = [m.value for m in Method]
-    for name in names:
+    for i, name in enumerate(names):
         if name not in known:
             raise ValueError(f"--methods: unknown method {name!r} (one of {', '.join(known)})")
+        if name in names[:i]:
+            raise ValueError(f"--methods: {name} is listed twice")
     methods = [Method(name) for name in names]
     if not methods:
         raise ValueError("--methods needs at least one method")

@@ -26,9 +26,10 @@ def canon(u: NodeId, v: NodeId) -> Edge:
 class Graph:
     """Simple graph over dense integer node ids with an external label table.
 
-    ``adj`` maps each node id to its neighbor set; callers must treat the
-    sets as read-only. Use :meth:`merge` for a pure merge or
-    :func:`merge_all` to apply a whole plan.
+    ``adj`` maps each node id to its neighbor set. Once a graph is built,
+    its sets are read-only for everyone: :meth:`copy` shares them, and the
+    edits replace each set they change with a new one. Use :meth:`merge`
+    for a pure merge or :func:`merge_all` to apply a whole plan.
     """
 
     __slots__ = ("adj", "_labels", "_ids")
@@ -82,9 +83,10 @@ class Graph:
             g._intern(str(label))
         for a, b in pairs:
             u, v = str(a), str(b)
-            if u == v:
-                continue
-            g._add_edge(g._intern(u), g._intern(v))
+            if u != v:
+                u, v = g._intern(u), g._intern(v)
+                g.adj[u].add(v)
+                g.adj[v].add(u)
         return g
 
     def _intern(self, label: str) -> NodeId:
@@ -98,12 +100,12 @@ class Graph:
 
     def _add_edge(self, u: NodeId, v: NodeId) -> None:
         if u != v:
-            self.adj[u].add(v)
-            self.adj[v].add(u)
+            self.adj[u] = self.adj[u] | {v}
+            self.adj[v] = self.adj[v] | {u}
 
     def copy(self) -> "Graph":
         g = Graph()
-        g.adj = {v: set(nbrs) for v, nbrs in self.adj.items()}
+        g.adj = dict(self.adj)
         g._labels = dict(self._labels)
         g._ids = dict(self._ids)
         return g
@@ -186,14 +188,10 @@ class Graph:
         label = self._labels.pop(v2, None)
         if label is not None:
             del self._ids[label]
-        a1 = adj[v1]
-        a1.discard(v2)
+        adj[v1] = (adj[v1] | nbrs2) - {v1, v2}
         for w in nbrs2:
-            if w == v1:
-                continue
-            adj[w].discard(v2)
-            a1.add(w)
-            adj[w].add(v1)
+            if w != v1:
+                adj[w] = (adj[w] - {v2}) | {v1}
 
 
 @dataclass(frozen=True)
@@ -211,7 +209,7 @@ class MergeOutcome:
 
 
 def merge_all(g: Graph, pairs: Sequence[tuple[NodeId, NodeId]]) -> MergeOutcome:
-    """Apply pairs in order, redirecting ids through earlier merges.
+    """Apply pairs in order to a copy of g, redirecting ids through earlier merges.
 
     Pair endpoints may name nodes that earlier pairs removed; they are
     resolved to the surviving representative first. A chain like

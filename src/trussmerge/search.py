@@ -113,7 +113,8 @@ def objective(g: Graph, k: int, pairs: Sequence[tuple[NodeId, NodeId]] = ()) -> 
     """Apply the mergers, then peel the merged graph from scratch to its k-truss and count its edges."""
     if k < 3:
         raise ValueError("k must be at least 3")
-    adj = merge_all(g, list(pairs)).graph.adj  # the merged copy's own sets, so the peel may mutate them
+    # the merged copy shares its sets with g, so the peel works on copies of them
+    adj = {v: set(ns) for v, ns in merge_all(g, list(pairs)).graph.adj.items()}
     sup = _supports(adj)
     _peel(adj, sup, k)
     return ObjectiveValue(len(sup))
@@ -172,8 +173,9 @@ def _split_candidates(cfg: RunConfig, state: ScoringContext, rng: random.Random,
 def greedy_loop(g: Graph, cfg: RunConfig, source: CandidateSource, n_io: int = 0) -> MergerPlan:
     """Run the budgeted greedy rounds on a copy of g, taking candidates from ``source``.
 
-    ``n_io`` is passed to the source and reported in every step; only BM's
-    split source moves it between rounds.
+    The copy shares g's neighbor sets until a merge replaces them. ``n_io``
+    is passed to the source and reported in every step; only BM's split
+    source moves it between rounds.
     """
     cfg.validate()
     work = g.copy()

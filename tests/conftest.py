@@ -42,6 +42,11 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph.from_edges(gnp_edges(rng, n, p), nodes=range(n))
 
 
+def deep_snapshot(g: Graph) -> tuple[dict, dict, dict]:
+    """Copies of g's adjacency (down to each neighbor set), label table and id table."""
+    return {v: set(ns) for v, ns in g.adj.items()}, dict(g._labels), dict(g._ids)
+
+
 def data_dir() -> Path:
     env = os.environ.get(DATA_ENV)
     if env:

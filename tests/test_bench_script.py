@@ -43,6 +43,19 @@ def test_mem_peak_reports_three_calls_and_live_sites(tmp_path, capsys):
     peaks = [line for line in out if "above the call's start" in line]
     assert [line.split(":")[0] for line in peaks] == ["decompose --k 5,10", "BM k=5 b=3", "RD k=5 b=10"]
     assert all(float(line.split("peak ")[1].split()[0]) > 0 for line in peaks)
+    # each maximize call lists five phase peaks, the largest of which is the call's peak,
+    # and names the phase that holds it
+    mb = lambda line: float(line.split("peak ")[1].split()[0])
+    for call in peaks[1:]:
+        at = out.index(call)
+        phases = {line.split(":")[0].strip(): line for line in out[at + 1:at + 6]}
+        assert list(phases) == ["compute", "merge", "scoring", "evaluation", "outside the phases"]
+        assert max(map(mb, phases.values())) == mb(call)
+        top = out[at + 6].removeprefix("  the call's peak is in ")
+        assert mb(phases[top]) == mb(call)
+        # round 0 computes the view once; later rounds carry it, and only BM scores
+        assert phases["compute"].endswith(" over 1 calls")
+        assert phases["scoring"].endswith(" over 0 calls") == call.startswith("RD")
     # BM and RD both evaluate candidates here, so each lists its top three live sites
     assert sum("live after evaluation" in line for line in out) == 2
     assert sum("trussmerge/" in line for line in out) == 6

@@ -321,9 +321,10 @@ def test_compare_rejects_trials_below_one(graph_a_file, trials, capsys):
     ("--methods", "", "--methods needs at least one method"),
     ("--methods", " , ", "--methods needs at least one method"),
     ("--methods", "BM,XX", "--methods: unknown method 'XX' (one of BM, EQ, II, IO, RD, NE, NT, NAIVE)"),
+    ("--methods", "BM,RD,bm", "--methods: BM is listed twice"),
     ("--k", "", "--k needs at least one value"),
     ("--k", " , ", "--k needs at least one value"),
-], ids=["", " , ", "unknown-method", "k-empty", "k-commas"])
+], ids=["", " , ", "unknown-method", "repeated-method", "k-empty", "k-commas"])
 def test_compare_rejects_empty_method_list(graph_a_file, flag, value, error, tmp_path, capsys):
     out = tmp_path / "grid.csv"
     argv = {"--k": "4", "--methods": "RD", flag: value}
@@ -454,6 +455,20 @@ def test_malformed_line_is_parse_error(tmp_path, capsys):
     bad.write_text("a b\nonly-one-token\n", encoding="utf-8")
     assert main(["decompose", str(bad)]) == 1
     assert capsys.readouterr().err.startswith("error: PARSE")
+
+
+@pytest.mark.parametrize("bad", ["edges", "coords"])
+def test_parse_error_names_the_coordinates_file(graph_a_file, tmp_path, bad, capsys):
+    edges, coords = tmp_path / "bad.txt", tmp_path / "co.txt"
+    edges.write_text("a b\nonly-one-token\n", encoding="utf-8")
+    coords.write_text("0 0.0 0.0\nb inf 0\n" if bad == "coords" else "0 0.0 0.0\n", encoding="utf-8")
+    argv = ["maximize", str(edges) if bad == "edges" else graph_a_file, "--k", "3",
+            "--coords", str(coords), "--dist-threshold", "100"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == {
+        "edges": "error: PARSE line 2: expected two endpoint labels, got 'only-one-token'\n",
+        "coords": f"error: PARSE --coords {coords} line 2: not a position (lat in [-90, 90], "
+                  "lon in [-180, 180]) in 'b inf 0'\n"}[bad]
 
 
 def test_bad_domain_values(graph_a_file, capsys):

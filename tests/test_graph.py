@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from trussmerge import Graph, MergeOutcome, ParseError, canon, merge_all
 
 import oracles as orc
+from conftest import deep_snapshot
 
 
 def kite() -> Graph:
@@ -129,6 +130,24 @@ def test_merge_all_redirects_collapsed_pairs():
     assert out.skipped == ((ids["0"], ids["2"]),)
     assert out.graph.node_count == 2
     assert out.graph.edge_count == 1
+
+
+@pytest.mark.parametrize("edited", ["original", "copy"])
+@pytest.mark.parametrize("edit", ["merge", "add_edge"])
+def test_copies_share_sets_but_never_see_each_others_edits(edited, edit):
+    g = kite()
+    h = g.copy()
+    assert all(h.adj[v] is g.adj[v] for v in g.adj)
+    a, b = (g, h) if edited == "original" else (h, g)
+    before = deep_snapshot(b)
+    v0, v3, v4 = (a.node_of(x) for x in "034")
+    if edit == "merge":
+        a._merge_inplace(v0, v3)
+        assert a.edge_set() == {canon(v0, a.node_of(x)) for x in "124"} | {canon(a.node_of("1"), a.node_of("2"))}
+    else:
+        a._add_edge(v0, v4)
+        assert a.has_edge(v0, v4) and a.edge_count == 7
+    assert deep_snapshot(b) == before
 
 
 def test_round_trip_through_edge_list():

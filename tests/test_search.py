@@ -8,11 +8,11 @@ import pytest
 
 from trussmerge import (ConstraintFilter, Graph, Method, MergerKind, RunConfig, adaptive_search,
                         adaptive_update, gen_er, haversine_km, objective, run_method)
-from trussmerge import TrussView, search
+from trussmerge import TrussView, merge_all, search
 from trussmerge.candidates import CandidateMerger
 from trussmerge.search import MergerPlan, MergerStep, greedy_loop
 
-from conftest import gnp_edges, random_graph
+from conftest import deep_snapshot, gnp_edges, random_graph
 from test_decomposition import A_EDGES, assert_carried, graph_a
 from test_scale import email_scale_graph  # noqa: F401  (fixture)
 
@@ -240,10 +240,24 @@ def test_bounded_loop_picks_the_exhaustive_best(rng, monkeypatch):
 
 
 def test_search_does_not_mutate_input():
+    # the working copy shares g's neighbor sets, so a merge that edited one in place would show
     g = graph_a()
-    before = sorted(g.edge_set())
-    adaptive_search(g, RunConfig(k=4, b=2, n_c=4))
-    assert sorted(g.edge_set()) == before
+    before = deep_snapshot(g)
+    for method in Method:
+        assert run_method(g, RunConfig(k=4, b=2, n_c=4, method=method)).steps, method
+        assert deep_snapshot(g) == before, method
+
+
+@pytest.mark.parametrize("apply", [
+    lambda g, pairs: objective(g, 4, pairs),
+    lambda g, pairs: merge_all(g, pairs),
+    lambda g, pairs: g.merge(*pairs[0]),
+], ids=["objective", "merge_all", "Graph.merge"])
+def test_merging_callers_do_not_mutate_input(apply):
+    g = graph_a()
+    before = deep_snapshot(g)
+    apply(g, [(0, 6), (1, 2), (0, 3)])
+    assert deep_snapshot(g) == before
 
 
 # a diamond (0, 1, 2, 3 with chord 1-2) and node 4 hanging off 3: at k=4
